@@ -18,6 +18,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -221,6 +222,27 @@ class Json {
   std::vector<std::pair<std::string, Json>> members_;  // object
   std::vector<Json> elements_;                         // array
 };
+
+/// The machine a measurement ran on: nproc, compiler and build type.
+inline Json environment() {
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "gcc " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+#ifdef COLEX_BUILD_TYPE
+  const std::string build_type = COLEX_BUILD_TYPE;
+#else
+  const std::string build_type = "unknown";
+#endif
+  Json env = Json::object();
+  env.set("nproc", static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+      .set("compiler", compiler)
+      .set("build_type", build_type);
+  return env;
+}
 
 /// Collects one bench's machine-readable results and writes BENCH_<ID>.json
 /// into the current working directory on finish().

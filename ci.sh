@@ -6,7 +6,8 @@
 # the first failing step.
 #
 #   ./ci.sh             all configurations + smokes + lint (the full gate)
-#   ./ci.sh --smoke     default build + full ctest + lint + soak smoke
+#   ./ci.sh --smoke     default build + full ctest + lint + the smokes and
+#                       the sim scaling gate on the default build
 #   ./ci.sh lint        just the static-analysis stage
 #   ./ci.sh soak-smoke  just the soak gate on the default build
 #   ./ci.sh coro-smoke  just the coroutine-runtime gate on the default build
@@ -176,6 +177,20 @@ run_socket_smoke() {
   grep -q '"gate_ok": true' "$dir/BENCH_E18.json"
 }
 
+# Simulator scaling gate: a simulator step must not grow with the number of
+# busy channels, so Algorithm 2's pulses/s at n=1024 must stay at least half
+# its n=16 rate. Both runs share one host, so its speed cancels out of the
+# ratio; bench_e10_micro computes it into BENCH_E10.json from the best of
+# three repetitions, since the n=1024 rate swings with other load on the box.
+run_sim_scaling_gate() {
+  local dir="$1" label="$2"
+  echo "==> [$label] sim scaling gate: BM_Alg2Election n=1024 vs n=16"
+  cmake --build "$dir" -j "$jobs" --target bench_e10_micro >/dev/null
+  (cd "$dir" && ./bench/bench_e10_micro --benchmark_repetitions=3 \
+      --benchmark_filter='^BM_Alg2Election/(16|1024)$')
+  grep -q '"gate_scaling_ok": true' "$dir/BENCH_E10.json"
+}
+
 if [ "$mode" = lint ]; then
   run_lint
   echo "==> lint green"
@@ -232,9 +247,13 @@ run_metrics_smoke build default
 #     forked multi-process election, and the E18 exactness gates.
 run_socket_smoke build default
 
+# 5c. Simulator scaling gate on the default build: pulses/s must stay flat
+#     in the ring size.
+run_sim_scaling_gate build default
+
 if [ "$mode" = smoke ]; then
   echo "==> smoke green (default build + ctest + lint + soak + coro" \
-       "+ metrics + socket smoke)"
+       "+ metrics + socket smoke + sim scaling gate)"
   exit 0
 fi
 

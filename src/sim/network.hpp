@@ -177,6 +177,40 @@ struct BasicRunOptions {
 /// Runner options for the fully defective (pulse) network.
 using RunOptions = BasicRunOptions<Pulse>;
 
+/// A node's delivered-but-unconsumed payloads at one in-port, in FIFO order.
+template <typename P>
+class Inbox {
+ public:
+  std::size_t size() const { return items_.size(); }
+  void push(P payload) { items_.push_back(std::move(payload)); }
+  P pop() {
+    P payload = std::move(items_.front());
+    items_.pop_front();
+    return payload;
+  }
+  void clear() { items_.clear(); }
+
+ private:
+  std::deque<P> items_;
+};
+
+/// Pulses are indistinguishable, so a pulse inbox is just a count — the
+/// idea coro/spsc.hpp's PulseChannel uses.
+template <>
+class Inbox<Pulse> {
+ public:
+  std::size_t size() const { return count_; }
+  void push(Pulse) { ++count_; }
+  Pulse pop() {
+    --count_;
+    return Pulse{};
+  }
+  void clear() { count_ = 0; }
+
+ private:
+  std::size_t count_ = 0;
+};
+
 template <typename P>
 class Network {
  public:
@@ -257,6 +291,8 @@ class Network {
     std::uint64_t crashes = 0;
     std::uint64_t recoveries = 0;
     std::uint64_t crash_lost = 0;
+
+    friend bool operator==(const Counters&, const Counters&) = default;
   };
 
   Counters counters() const {
@@ -324,6 +360,7 @@ class Network {
     Network copy;
     copy.channels_ = channels_;
     copy.nonempty_ = nonempty_;
+    copy.index_ = nullptr;  // a fork is not driven by this run's scheduler
     copy.next_seq_ = next_seq_;
     copy.stamp_ = stamp_;
     copy.total_sent_ = total_sent_;
@@ -376,9 +413,7 @@ class Network {
   void deliver_step(std::size_t c) {
     COLEX_EXPECTS(c < channels_.size() && !channels_[c].items.empty());
     auto& ch = channels_[c];
-    Item item = std::move(ch.items.front());
-    ch.items.pop_front();
-    unmark_if_empty(c);
+    Item item = pop_item(c);
     ++total_delivered_;
     const NodeId v = ch.to_node;
     auto& node = nodes_[v];
@@ -391,7 +426,7 @@ class Network {
       ++total_consumed_;
       return;
     }
-    node.inbox[index(ch.to_port)].push_back(std::move(item.payload));
+    node.inbox[index(ch.to_port)].push(std::move(item.payload));
     NetworkContext<P> ctx(*this, v);
     ++stamp_;
     if (!node.started) {
@@ -416,8 +451,7 @@ class Network {
   /// forbids this; tests use it to show the algorithms' invariants detect it.
   void inject_fault(std::size_t c, P payload = P{}) {
     COLEX_EXPECTS(c < channels_.size());
-    channels_[c].items.push_back(Item{std::move(payload), next_seq_++, stamp_});
-    mark_nonempty(c);
+    push_item(c, Item{std::move(payload), next_seq_++, stamp_});
     ++total_sent_;  // keep conservation accounting consistent for delivery
     ++injected_;
   }
@@ -425,8 +459,7 @@ class Network {
   /// Drops the head payload of channel `c` (model forbids message loss).
   void drop_fault(std::size_t c) {
     COLEX_EXPECTS(c < channels_.size() && !channels_[c].items.empty());
-    channels_[c].items.pop_front();
-    unmark_if_empty(c);
+    pop_item(c);
     ++dropped_;
     // The dropped payload will never be delivered or consumed; account for
     // it so in_transit() reflects what can still move.
@@ -523,20 +556,17 @@ class Network {
   void send_from(NodeId v, Port p, P payload) {
     auto& node = nodes_[v];
     const std::size_t c = node.out_channel[index(p)];
-    channels_[c].items.push_back(Item{std::move(payload), next_seq_++, stamp_});
-    mark_nonempty(c);
+    push_item(c, Item{std::move(payload), next_seq_++, stamp_});
     ++total_sent_;
     if (send_observer_) send_observer_(v, p, channels_[c].dir);
   }
 
   std::optional<P> consume(NodeId v, Port p) {
     auto& q = nodes_[v].inbox[index(p)];
-    if (q.empty()) return std::nullopt;
-    P payload = std::move(q.front());
-    q.pop_front();
+    if (q.size() == 0) return std::nullopt;
     ++nodes_[v].consumed[index(p)];
     ++total_consumed_;
-    return payload;
+    return q.pop();
   }
 
   // --- the runner ----------------------------------------------------------
@@ -544,6 +574,15 @@ class Network {
   RunReport run(Scheduler& scheduler, const BasicRunOptions<P>& opts = {}) {
     RunReport report;
     util::Xoshiro256StarStar interleave_rng(opts.interleave_seed);
+
+    // A scheduler on the incremental protocol hears of every head change
+    // from here on, starting with the channels already busy; the guard
+    // leaves indexing mode however the run ends, exceptions included.
+    const bool indexed = scheduler.begin_index(channels_.size());
+    const IndexGuard guard(*this, indexed ? &scheduler : nullptr);
+    if (indexed) {
+      for (const std::size_t c : nonempty_) scheduler.head_changed(view_of(c));
+    }
 
     // Unstarted-node bookkeeping: a vector of pending nodes plus a per-node
     // position index, so removal is O(1) swap-and-pop instead of an O(n)
@@ -605,15 +644,15 @@ class Network {
         continue;
       }
 
-      pending.clear();
-      for (const std::size_t c : nonempty_) {
-        const auto& ch = channels_[c];
-        pending.push_back(ChannelView{c, ch.items.size(), ch.items.front().seq,
-                                      ch.items.front().stamp, ch.dir});
+      if (nonempty_.empty()) break;
+      std::size_t c = 0;
+      if (indexed) {
+        c = scheduler.pick_indexed(nonempty_);
+      } else {
+        pending.clear();
+        for (const std::size_t b : nonempty_) pending.push_back(view_of(b));
+        c = scheduler.pick(pending);
       }
-      if (pending.empty()) break;
-
-      const std::size_t c = scheduler.pick(pending);
       COLEX_ASSERT(c < channels_.size() && !channels_[c].items.empty());
       deliver(c, report, start_specific, unstarted, opts);
       ++events;
@@ -656,7 +695,7 @@ class Network {
   struct NodeState {
     std::unique_ptr<Automaton<P>> automaton;
     std::size_t out_channel[2] = {0, 0};
-    std::deque<P> inbox[2];
+    Inbox<P> inbox[2];
     std::uint64_t consumed[2] = {0, 0};
     bool started = false;
     bool crashed = false;
@@ -678,9 +717,7 @@ class Network {
                StartSpecificFn& start_specific, std::vector<NodeId>& unstarted,
                const BasicRunOptions<P>& opts) {
     auto& ch = channels_[c];
-    Item item = std::move(ch.items.front());
-    ch.items.pop_front();
-    unmark_if_empty(c);
+    Item item = pop_item(c);
     ++total_delivered_;
     ++report.deliveries;
     if (opts.on_deliver) opts.on_deliver(ch.to_node, ch.to_port, ch.dir);
@@ -705,7 +742,7 @@ class Network {
       if (opts.on_event) opts.on_event(*this);
       return;
     }
-    node.inbox[index(ch.to_port)].push_back(std::move(item.payload));
+    node.inbox[index(ch.to_port)].push(std::move(item.payload));
     if (!node.started) {
       // Event-driven wake-up: the node's first event is this delivery, so it
       // performs its start action now, then reacts to the queue.
@@ -720,30 +757,61 @@ class Network {
   }
 
   // Incremental index of channels with pulses in flight, so each runner
-  // step costs O(#nonempty channels) instead of O(#channels).
+  // step costs O(#nonempty channels) instead of O(#channels). Every channel
+  // push and pop goes through push_item/pop_item, which keep this set and
+  // the indexing scheduler (if any) current.
   static constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
 
-  void mark_nonempty(std::size_t c) {
-    auto& ch = channels_[c];
-    if (ch.nonempty_pos != kNoPos) return;
-    ch.nonempty_pos = nonempty_.size();
-    nonempty_.push_back(c);
+  ChannelView view_of(std::size_t c) const {
+    const auto& ch = channels_[c];
+    if (ch.items.empty()) return ChannelView{c, 0, 0, 0, ch.dir};
+    return ChannelView{c, ch.items.size(), ch.items.front().seq,
+                       ch.items.front().stamp, ch.dir};
   }
 
-  void unmark_if_empty(std::size_t c) {
+  void push_item(std::size_t c, Item item) {
     auto& ch = channels_[c];
-    if (!ch.items.empty() || ch.nonempty_pos == kNoPos) return;
-    const std::size_t pos = ch.nonempty_pos;
-    const std::size_t moved = nonempty_.back();
-    nonempty_[pos] = moved;
-    channels_[moved].nonempty_pos = pos;
-    nonempty_.pop_back();
-    ch.nonempty_pos = kNoPos;
+    ch.items.push_back(std::move(item));
+    if (ch.nonempty_pos != kNoPos) return;  // the head did not change
+    ch.nonempty_pos = nonempty_.size();
+    nonempty_.push_back(c);
+    if (index_ != nullptr) index_->head_changed(view_of(c));
   }
+
+  Item pop_item(std::size_t c) {
+    auto& ch = channels_[c];
+    Item item = std::move(ch.items.front());
+    ch.items.pop_front();
+    if (ch.items.empty()) {
+      const std::size_t pos = ch.nonempty_pos;
+      const std::size_t moved = nonempty_.back();
+      nonempty_[pos] = moved;
+      channels_[moved].nonempty_pos = pos;
+      nonempty_.pop_back();
+      ch.nonempty_pos = kNoPos;
+    }
+    if (index_ != nullptr) index_->head_changed(view_of(c));
+    return item;
+  }
+
+  /// Points index_ at the run's indexing scheduler (or null) for one run.
+  class IndexGuard {
+   public:
+    IndexGuard(Network& net, Scheduler* scheduler) : net_(net) {
+      net_.index_ = scheduler;
+    }
+    ~IndexGuard() { net_.index_ = nullptr; }
+    IndexGuard(const IndexGuard&) = delete;
+    IndexGuard& operator=(const IndexGuard&) = delete;
+
+   private:
+    Network& net_;
+  };
 
   std::vector<NodeState> nodes_;
   std::vector<ChannelState> channels_;
   std::vector<std::size_t> nonempty_;
+  Scheduler* index_ = nullptr;  ///< told of head changes during run()
   std::function<void(NodeId, Port, Direction)> send_observer_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t stamp_ = 0;  // event step counter; sends in one react share it

@@ -6,6 +6,11 @@
 
 namespace colex::sim {
 
+std::size_t Scheduler::pick_indexed(const std::vector<std::size_t>&) {
+  // Reached only if begin_index() returned true without an override here.
+  throw util::ContractViolation(name() + " has no incremental pick");
+}
+
 std::size_t GlobalFifoScheduler::pick(const std::vector<ChannelView>& pending) {
   COLEX_EXPECTS(!pending.empty());
   const auto it = std::min_element(
@@ -14,6 +19,36 @@ std::size_t GlobalFifoScheduler::pick(const std::vector<ChannelView>& pending) {
         return a.head_seq < b.head_seq;
       });
   return it->channel;
+}
+
+bool GlobalFifoScheduler::begin_index(std::size_t channels) {
+  head_seq_.assign(channels, kEmpty);
+  heap_.clear();
+  return true;
+}
+
+void GlobalFifoScheduler::head_changed(const ChannelView& head) {
+  if (head.pending == 0) {
+    head_seq_[head.channel] = kEmpty;
+    return;
+  }
+  head_seq_[head.channel] = head.head_seq;
+  heap_.push_back(Entry{head.head_seq, head.channel});
+  std::push_heap(heap_.begin(), heap_.end(), younger);
+}
+
+std::size_t GlobalFifoScheduler::pick_indexed(
+    const std::vector<std::size_t>& busy) {
+  COLEX_EXPECTS(!busy.empty());
+  // An entry is live while it still names its channel's head; older ones
+  // (delivered, dropped, or emptied heads) are discarded on the way up.
+  for (;;) {
+    COLEX_ASSERT(!heap_.empty());  // every busy head was reported
+    const Entry top = heap_.front();
+    if (head_seq_[top.channel] == top.seq) return top.channel;
+    std::pop_heap(heap_.begin(), heap_.end(), younger);
+    heap_.pop_back();
+  }
 }
 
 std::size_t GlobalLifoScheduler::pick(const std::vector<ChannelView>& pending) {
@@ -29,6 +64,12 @@ std::size_t GlobalLifoScheduler::pick(const std::vector<ChannelView>& pending) {
 std::size_t RandomScheduler::pick(const std::vector<ChannelView>& pending) {
   COLEX_EXPECTS(!pending.empty());
   return pending[rng_.below(pending.size())].channel;
+}
+
+std::size_t RandomScheduler::pick_indexed(
+    const std::vector<std::size_t>& busy) {
+  COLEX_EXPECTS(!busy.empty());
+  return busy[rng_.below(busy.size())];
 }
 
 std::string RandomScheduler::name() const {

@@ -30,6 +30,16 @@ struct ChannelView {
 };
 
 /// Strategy interface: choose the channel that delivers next.
+///
+/// Every scheduler is driven through `pick(views)`, which sees a fresh view
+/// of every busy channel at every step: O(busy channels) per delivery. A
+/// scheduler whose choice depends only on channel heads may also opt into
+/// the incremental protocol by returning true from `begin_index`: the
+/// runner then reports each head change through `head_changed` and asks
+/// `pick_indexed` instead, so a step costs what the scheduler's own index
+/// costs. Both paths must choose identically. A decorator that overrides
+/// only `pick(views)` inherits `begin_index() == false` and so keeps the
+/// view path.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -43,13 +53,48 @@ class Scheduler {
 
   /// Reset internal state so the scheduler can drive a fresh run.
   virtual void reset() {}
+
+  /// Called at the start of every run on a network of `channels` channels.
+  /// Returning true takes the incremental protocol for this run; the
+  /// scheduler must then drop any index left by an earlier run, because
+  /// the runner next reports every busy channel through `head_changed`.
+  virtual bool begin_index(std::size_t channels) {
+    (void)channels;
+    return false;
+  }
+
+  /// Channel `head.channel` has a new head `head`: it was empty, or its
+  /// old head was delivered or dropped. `head.pending == 0` means the
+  /// channel emptied. Only the head fields are current; `pending` is not
+  /// re-reported when later sends queue behind the head.
+  virtual void head_changed(const ChannelView& head) { (void)head; }
+
+  /// The incremental twin of `pick`. `busy` is nonempty and lists the busy
+  /// channels in the order `pick` would see their views.
+  virtual std::size_t pick_indexed(const std::vector<std::size_t>& busy);
 };
 
 /// Delivers pulses in global send order (the "synchronous-looking" run).
+/// Indexed: a lazy-deletion min-heap on (head seq, channel).
 class GlobalFifoScheduler final : public Scheduler {
  public:
   std::size_t pick(const std::vector<ChannelView>& pending) override;
   std::string name() const override { return "global-fifo"; }
+  bool begin_index(std::size_t channels) override;
+  void head_changed(const ChannelView& head) override;
+  std::size_t pick_indexed(const std::vector<std::size_t>& busy) override;
+
+ private:
+  struct Entry {
+    std::uint64_t seq;
+    std::size_t channel;
+  };
+  // The std heap functions keep the greatest element on top, so ordering
+  // by "younger" puts the oldest head there. Send seqs are unique: no ties.
+  static bool younger(const Entry& a, const Entry& b) { return a.seq > b.seq; }
+  static constexpr std::uint64_t kEmpty = static_cast<std::uint64_t>(-1);
+  std::vector<std::uint64_t> head_seq_;  ///< per channel; kEmpty when idle
+  std::vector<Entry> heap_;  ///< min-heap on seq; stale entries skipped
 };
 
 /// Always delivers the most recently sent pulse first (maximally stale
@@ -61,12 +106,16 @@ class GlobalLifoScheduler final : public Scheduler {
 };
 
 /// Picks a uniformly random nonempty channel; reproducible from the seed.
+/// Indexed: draws straight from the runner's busy list, which needs no
+/// index of its own.
 class RandomScheduler final : public Scheduler {
  public:
   explicit RandomScheduler(std::uint64_t seed) : seed_(seed), rng_(seed) {}
   std::size_t pick(const std::vector<ChannelView>& pending) override;
   std::string name() const override;
   void reset() override { rng_ = util::Xoshiro256StarStar(seed_); }
+  bool begin_index(std::size_t) override { return true; }
+  std::size_t pick_indexed(const std::vector<std::size_t>& busy) override;
 
  private:
   std::uint64_t seed_;
@@ -212,7 +261,8 @@ class SolitudeScheduler final : public Scheduler {
 
 /// Wraps another scheduler and records every choice it makes, so that an
 /// interesting adversarial run (e.g. a failing fuzz case) can be replayed
-/// exactly with ReplayScheduler.
+/// exactly with ReplayScheduler. Forwards the incremental protocol, so it
+/// drives the inner scheduler on whichever path that one takes.
 class RecordingScheduler final : public Scheduler {
  public:
   explicit RecordingScheduler(Scheduler& inner) : inner_(inner) {}
@@ -225,6 +275,17 @@ class RecordingScheduler final : public Scheduler {
   void reset() override {
     inner_.reset();
     tape_.clear();
+  }
+  bool begin_index(std::size_t channels) override {
+    return inner_.begin_index(channels);
+  }
+  void head_changed(const ChannelView& head) override {
+    inner_.head_changed(head);
+  }
+  std::size_t pick_indexed(const std::vector<std::size_t>& busy) override {
+    const std::size_t choice = inner_.pick_indexed(busy);
+    tape_.push_back(choice);
+    return choice;
   }
   const std::vector<std::size_t>& tape() const { return tape_; }
 
@@ -242,7 +303,10 @@ class ReplayScheduler final : public Scheduler {
       : tape_(std::move(tape)) {}
   std::size_t pick(const std::vector<ChannelView>& pending) override;
   std::string name() const override { return "replay"; }
-  void reset() override { cursor_ = 0; }
+  void reset() override {
+    cursor_ = 0;
+    divergences_ = 0;
+  }
   std::size_t divergences() const { return divergences_; }
 
  private:

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
@@ -41,7 +42,9 @@ struct Shard {
   std::vector<ChurnEngine> engines;         // one per owned slot
   std::vector<std::uint64_t> next_election; // per owned slot
   obs::Registry registry;
-  std::vector<double> latencies_ms;
+  // Grows in fixed-size blocks: no doubling copies and no spare capacity,
+  // and a later soak in the same process reuses the freed blocks.
+  std::deque<double> latencies_ms;
   std::vector<std::string> violations;
   double busy_seconds = 0.0;
   std::uint64_t attempts = 0;
@@ -367,13 +370,20 @@ SoakReport run_soak(const SoakOptions& options) {
   flight_ring.record("all-shards-done", shared.finished.load());
   report.wall_seconds = seconds_since(t0);
 
-  // Post-join merge: single-threaded from here on.
+  // Post-join merge: single-threaded from here on. Every election's latency
+  // is kept, so each copy of them is the soak's largest allocation: merge
+  // into one exactly sized vector, free each shard's as it is merged, and
+  // hand the merged one to summarize without a copy.
   std::vector<double> latencies;
+  std::size_t latency_count = 0;
+  for (const Shard& shard : shards) latency_count += shard.latencies_ms.size();
+  latencies.reserve(latency_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     Shard& shard = shards[s];
     report.metrics.merge(shard.registry);
     latencies.insert(latencies.end(), shard.latencies_ms.begin(),
                      shard.latencies_ms.end());
+    std::deque<double>().swap(shard.latencies_ms);
     ShardStats stats;
     stats.elections = shard.visible_finished.load();
     stats.attempts = shard.attempts;
@@ -409,7 +419,7 @@ SoakReport run_soak(const SoakOptions& options) {
   report.backend = to_string(options.policy.backend);
   report.faults_applied =
       counter_value(report.metrics, "svc.faults_applied");
-  report.latency_ms = util::summarize(latencies);
+  report.latency_ms = util::summarize(std::move(latencies));
   report.elections_per_second =
       report.wall_seconds > 0.0
           ? static_cast<double>(report.started) / report.wall_seconds

@@ -35,4 +35,31 @@ inline std::unique_ptr<sim::Scheduler> make_scheduler(
   return nullptr;
 }
 
+/// Decorator that overrides only pick(views), as outside decorators do, so
+/// the runner drives the wrapped scheduler on the view path even when it
+/// supports the incremental protocol: the reference an indexed run of the
+/// same scheduler must reproduce pick for pick.
+class ViewPathScheduler final : public sim::Scheduler {
+ public:
+  explicit ViewPathScheduler(sim::Scheduler& inner) : inner_(inner) {}
+  std::size_t pick(const std::vector<sim::ChannelView>& pending) override {
+    return inner_.pick(pending);
+  }
+  std::string name() const override { return "views(" + inner_.name() + ")"; }
+  void reset() override { inner_.reset(); }
+
+ private:
+  sim::Scheduler& inner_;
+};
+
+/// The schedulers that take the incremental protocol, as fresh instances:
+/// global-fifo and one seeded random.
+inline std::vector<std::unique_ptr<sim::Scheduler>> indexed_schedulers(
+    std::uint64_t seed) {
+  std::vector<std::unique_ptr<sim::Scheduler>> out;
+  out.push_back(std::make_unique<sim::GlobalFifoScheduler>());
+  out.push_back(std::make_unique<sim::RandomScheduler>(seed));
+  return out;
+}
+
 }  // namespace colex::test

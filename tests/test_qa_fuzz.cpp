@@ -6,10 +6,12 @@
 
 #include <sstream>
 
+#include "helpers.hpp"
 #include "obs/export.hpp"
 #include "qa/fuzzer.hpp"
 #include "qa/properties.hpp"
 #include "qa/repro.hpp"
+#include "sim/faults.hpp"
 #include "util/contracts.hpp"
 
 namespace colex::qa {
@@ -195,6 +197,57 @@ TEST(FuzzRepro, ExportedTraceLoadsInObs) {
   EXPECT_EQ(loaded.meta.id_max, c.effective_id_max());
   EXPECT_EQ(loaded.meta.algorithm, to_string(c.alg));
   EXPECT_EQ(loaded.events.size(), outcome.trace.size());
+}
+
+struct PlanRun {
+  std::vector<std::size_t> tape;
+  std::vector<sim::TraceEvent> trace;
+  sim::PulseNetwork::Counters counters;
+};
+
+/// Runs the case's ring under `s` with its fault plan attached, so drops,
+/// duplicates, spurious pulses, crashes and recoveries land mid-run.
+PlanRun run_with_plan(const FuzzCase& c, sim::Scheduler& s) {
+  auto net = build_case_network(c);
+  sim::RunOptions opts;
+  opts.max_events = c.max_events;
+  sim::TraceRecorder trace;
+  trace.attach(net, opts);
+  sim::PulseFaultInjector injector(
+      c.faults, [&c](sim::NodeId v) { return make_automaton(c, v); });
+  injector.attach_trace(trace);
+  injector.attach(net, opts);
+  sim::RecordingScheduler recording(s);
+  net.run(recording, opts);
+  return {recording.tape(), trace.events(), net.counters()};
+}
+
+TEST(FuzzExactness, IndexedSchedulersMatchTheViewPathUnderFaults) {
+  // GlobalFifo and Random driven directly take the incremental protocol;
+  // wrapped in test::ViewPathScheduler they take the view path. Over fuzzed
+  // rings, half of them under fault plans, both must be the same run.
+  GeneratorOptions generator = base_options(1).generator;
+  generator.fault_fraction = 0.5;
+  std::size_t faulty = 0;
+  std::size_t picks = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    const FuzzCase c = generate_case(seed, generator);
+    if (!c.faults.trivial()) ++faulty;
+    auto direct = test::indexed_schedulers(seed);
+    auto reference = test::indexed_schedulers(seed);
+    for (std::size_t k = 0; k < direct.size(); ++k) {
+      test::ViewPathScheduler views(*reference[k]);
+      const PlanRun a = run_with_plan(c, *direct[k]);
+      const PlanRun b = run_with_plan(c, views);
+      picks += a.tape.size();
+      ASSERT_EQ(a.tape, b.tape) << "seed " << seed << " " << direct[k]->name();
+      ASSERT_EQ(a.trace, b.trace) << "seed " << seed << " " << direct[k]->name();
+      ASSERT_TRUE(a.counters == b.counters)
+          << "seed " << seed << " " << direct[k]->name();
+    }
+  }
+  EXPECT_GT(faulty, 400u);
+  EXPECT_GT(picks, 100'000u);
 }
 
 TEST(FuzzShrink, PredicateStaysAnchoredToTheFailedProperty) {

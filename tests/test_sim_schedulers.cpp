@@ -7,9 +7,13 @@
 
 #include "co/alg1.hpp"
 #include "co/alg2.hpp"
+#include "co/alg3.hpp"
 #include "co/election.hpp"
+#include "helpers.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/trace.hpp"
+#include "util/contracts.hpp"
+#include "util/ids.hpp"
 
 namespace colex::sim {
 namespace {
@@ -238,16 +242,34 @@ std::vector<TraceEvent> traced_alg2_run(Scheduler& s,
   return trace.events();
 }
 
+/// The standard suite plus a replay whose tape fits neither ring of the
+/// reset tests, so it diverges and counts divergences along the way.
+std::vector<NamedScheduler> reset_suite() {
+  auto suite = standard_schedulers(3);
+  suite.push_back(NamedScheduler{
+      "replay", std::make_unique<ReplayScheduler>(
+                    std::vector<std::size_t>{0, 3, 1, 7, 2, 9, 9, 4})});
+  return suite;
+}
+
+std::size_t divergences_of(const Scheduler& s) {
+  const auto* replay = dynamic_cast<const ReplayScheduler*>(&s);
+  return replay != nullptr ? replay->divergences() : 0;
+}
+
 TEST(Schedulers, ResetMakesRerunsByteIdentical) {
   // Run, reset, run again on the SAME scheduler instance: the two traces
   // must be byte-identical for every adversary in the standard suite.
   const std::vector<std::uint64_t> ids{4, 9, 2, 7, 5};
-  for (auto& entry : standard_schedulers(3)) {
+  for (auto& entry : reset_suite()) {
     const auto first = traced_alg2_run(*entry.scheduler, ids);
+    const std::size_t first_divergences = divergences_of(*entry.scheduler);
     ASSERT_FALSE(first.empty()) << entry.name;
     entry.scheduler->reset();
     const auto second = traced_alg2_run(*entry.scheduler, ids);
     EXPECT_EQ(first, second) << entry.name;
+    EXPECT_EQ(first_divergences, divergences_of(*entry.scheduler))
+        << entry.name;
   }
 }
 
@@ -255,10 +277,11 @@ TEST(Schedulers, ResetRestoresPristineStateAfterUnrelatedRun) {
   // Stronger than rerun-equality: pollute a scheduler's internal state with
   // a run over a DIFFERENT topology, reset, and demand the trace of a
   // pristine twin. Catches resets that only rewind part of the state (e.g.
-  // a reseeded RNG but a stale round-robin cursor).
+  // a reseeded RNG but a stale round-robin cursor, or a rewound replay
+  // tape that still carries the previous run's divergence count).
   const std::vector<std::uint64_t> ids{4, 9, 2, 7, 5};
-  auto pristine = standard_schedulers(3);
-  auto reused = standard_schedulers(3);
+  auto pristine = reset_suite();
+  auto reused = reset_suite();
   ASSERT_EQ(pristine.size(), reused.size());
   for (std::size_t i = 0; i < pristine.size(); ++i) {
     ASSERT_EQ(pristine[i].name, reused[i].name);
@@ -276,6 +299,9 @@ TEST(Schedulers, ResetRestoresPristineStateAfterUnrelatedRun) {
     EXPECT_EQ(traced_alg2_run(*pristine[i].scheduler, ids),
               traced_alg2_run(*reused[i].scheduler, ids))
         << reused[i].name;
+    EXPECT_EQ(divergences_of(*pristine[i].scheduler),
+              divergences_of(*reused[i].scheduler))
+        << reused[i].name;
   }
 }
 
@@ -286,6 +312,179 @@ TEST(Schedulers, RecorderResetClearsTape) {
   EXPECT_FALSE(recorder.tape().empty());
   recorder.reset();
   EXPECT_TRUE(recorder.tape().empty());
+}
+
+// ---------------------------------------------------------------------------
+// The incremental protocol. Driven directly, GlobalFifo and Random pick from
+// their own head index; wrapped in test::ViewPathScheduler they take the
+// view path. Both must be the same run: the same tape, the same trace and
+// the same network counters.
+// ---------------------------------------------------------------------------
+
+enum class Alg { alg1, alg2, alg3 };
+
+struct Observed {
+  std::vector<std::size_t> tape;
+  std::vector<TraceEvent> trace;
+  PulseNetwork::Counters counters;
+  bool quiescent = false;
+};
+
+PulseNetwork make_ring(Alg alg, const std::vector<std::uint64_t>& ids) {
+  const std::vector<bool> flips =
+      alg == Alg::alg3 ? util::random_flips(ids.size(), 3) : std::vector<bool>{};
+  auto net = PulseNetwork::ring(ids.size(), flips);
+  for (NodeId v = 0; v < ids.size(); ++v) {
+    std::unique_ptr<PulseAutomaton> a;
+    switch (alg) {
+      case Alg::alg1: a = std::make_unique<co::Alg1Stabilizing>(ids[v]); break;
+      case Alg::alg2: a = std::make_unique<co::Alg2Terminating>(ids[v]); break;
+      case Alg::alg3:
+        a = std::make_unique<co::Alg3NonOriented>(ids[v],
+                                                  co::Alg3NonOriented::Options{});
+        break;
+    }
+    net.set_automaton(v, std::move(a));
+  }
+  return net;
+}
+
+/// Runs `net` under `s`, recorded and traced.
+Observed observe(PulseNetwork& net, Scheduler& s, RunOptions opts = {}) {
+  TraceRecorder trace;
+  trace.attach(net, opts);
+  RecordingScheduler recording(s);
+  const RunReport report = net.run(recording, opts);
+  net.set_send_observer({});  // the recorder dies with this frame
+  return {recording.tape(), trace.events(), net.counters(), report.quiescent};
+}
+
+Observed observe(Alg alg, const std::vector<std::uint64_t>& ids, Scheduler& s,
+                 RunOptions opts = {}) {
+  auto net = make_ring(alg, ids);
+  return observe(net, s, opts);
+}
+
+void expect_same_run(const Observed& indexed, const Observed& views,
+                     const std::string& label) {
+  EXPECT_FALSE(indexed.tape.empty()) << label;
+  EXPECT_EQ(indexed.tape, views.tape) << label;
+  EXPECT_EQ(indexed.trace, views.trace) << label;
+  EXPECT_TRUE(indexed.counters == views.counters) << label;
+  EXPECT_EQ(indexed.quiescent, views.quiescent) << label;
+}
+
+TEST(IncrementalProtocol, OnlyIndexedSchedulersOptIn) {
+  for (auto& s : test::indexed_schedulers(1)) {
+    EXPECT_TRUE(s->begin_index(4)) << s->name();
+    RecordingScheduler recording(*s);
+    EXPECT_TRUE(recording.begin_index(4)) << s->name();
+    test::ViewPathScheduler views(*s);
+    EXPECT_FALSE(views.begin_index(4)) << s->name();
+  }
+  GlobalLifoScheduler lifo;
+  EXPECT_FALSE(lifo.begin_index(4));
+  EXPECT_THROW(lifo.pick_indexed({0}), util::ContractViolation);
+}
+
+TEST(IncrementalProtocol, IndexedAndViewPathRunsAreIdentical) {
+  for (const Alg alg : {Alg::alg1, Alg::alg2, Alg::alg3}) {
+    for (const std::size_t n : {1u, 2u, 3u, 8u, 64u}) {
+      const auto ids = util::shuffled(util::dense_ids(n), n);
+      for (const bool interleave : {false, true}) {
+        RunOptions opts;
+        opts.interleave_starts = interleave;
+        opts.interleave_seed = 7 + n;
+        auto direct = test::indexed_schedulers(n);
+        auto reference = test::indexed_schedulers(n);
+        for (std::size_t k = 0; k < direct.size(); ++k) {
+          test::ViewPathScheduler views(*reference[k]);
+          expect_same_run(observe(alg, ids, *direct[k], opts),
+                          observe(alg, ids, views, opts),
+                          direct[k]->name() + " alg" +
+                              std::to_string(static_cast<int>(alg) + 1) +
+                              " n=" + std::to_string(n) +
+                              (interleave ? " interleaved" : ""));
+        }
+      }
+    }
+  }
+}
+
+TEST(IncrementalProtocol, IndexIsRebuiltAtEveryRunWithoutReset) {
+  // One instance per path drives three runs back to back with no reset():
+  // an election that starts with pulses already on two channels and is cut
+  // off by the event limit (busy channels left in the index), a larger
+  // ring, then a smaller one. Each run must rebuild the index from the
+  // network it is given.
+  RunOptions cut;
+  cut.max_events = 40;
+  auto direct = test::indexed_schedulers(5);
+  auto reference = test::indexed_schedulers(5);
+  for (std::size_t k = 0; k < direct.size(); ++k) {
+    test::ViewPathScheduler views(*reference[k]);
+    const std::string name = direct[k]->name();
+    auto indexed_net = make_ring(Alg::alg2, {3, 8, 1, 6});
+    auto views_net = make_ring(Alg::alg2, {3, 8, 1, 6});
+    for (PulseNetwork* net : {&indexed_net, &views_net}) {
+      net->inject_fault(1);
+      net->inject_fault(1);
+      net->inject_fault(6);
+    }
+    expect_same_run(observe(indexed_net, *direct[k], cut),
+                    observe(views_net, views, cut), name + " preseeded, cut");
+    EXPECT_FALSE(indexed_net.pending_channels().empty()) << name;
+    expect_same_run(observe(Alg::alg2, util::dense_ids(12), *direct[k]),
+                    observe(Alg::alg2, util::dense_ids(12), views),
+                    name + " larger");
+    expect_same_run(observe(Alg::alg3, {2, 5, 4}, *direct[k]),
+                    observe(Alg::alg3, {2, 5, 4}, views), name + " smaller");
+  }
+}
+
+/// Takes the incremental protocol through GlobalFifo and counts the head
+/// changes the runner reports.
+class HeadCounter final : public Scheduler {
+ public:
+  std::size_t pick(const std::vector<ChannelView>& p) override {
+    return fifo_.pick(p);
+  }
+  std::string name() const override { return "head-counter"; }
+  bool begin_index(std::size_t channels) override {
+    return fifo_.begin_index(channels);
+  }
+  void head_changed(const ChannelView& head) override {
+    ++heads;
+    fifo_.head_changed(head);
+  }
+  std::size_t pick_indexed(const std::vector<std::size_t>& busy) override {
+    return fifo_.pick_indexed(busy);
+  }
+  std::uint64_t heads = 0;
+
+ private:
+  GlobalFifoScheduler fifo_;
+};
+
+TEST(IncrementalProtocol, ExceptionMidRunLeavesIndexingMode) {
+  auto net = PulseNetwork::ring(4);
+  for (NodeId v = 0; v < 4; ++v) {
+    net.set_automaton(v, std::make_unique<co::Alg2Terminating>(v + 3));
+  }
+  HeadCounter counter;
+  RunOptions opts;
+  std::uint64_t events = 0;
+  opts.on_event = [&events](PulseNetwork&) {
+    if (++events == 9) throw util::ContractViolation("planted");
+  };
+  EXPECT_THROW(net.run(counter, opts), util::ContractViolation);
+  const std::uint64_t reported = counter.heads;
+  EXPECT_GT(reported, 0u);
+  ASSERT_FALSE(net.pending_channels().empty());
+  // A head change after the run must reach no scheduler.
+  net.drop_fault(net.pending_channels().front());
+  net.inject_fault(0);
+  EXPECT_EQ(counter.heads, reported);
 }
 
 }  // namespace
