@@ -38,9 +38,9 @@
 
 #include "bench_common.hpp"
 #include "coro/run.hpp"
-#include "obs/phase.hpp"
 #include "obs/serve.hpp"
 #include "runtime/blocking_algs.hpp"
+#include "sim/types.hpp"
 #include "svc/soak.hpp"
 #include "util/table.hpp"
 
@@ -139,8 +139,8 @@ double soak_elections_per_second(const svc::SoakOptions& base,
 /// registry resolves existing series only).
 std::uint64_t phase_sum(obs::Registry& reg) {
   std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-    sum += reg.counter(obs::labeled("pulses", "phase", obs::phase_name(i)))
+  for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
+    sum += reg.counter(obs::labeled("pulses", "phase", sim::phase_name(i)))
                .value();
   }
   return sum;
@@ -184,9 +184,9 @@ ScrapeProbe scrape_probe_soak(svc::SoakOptions options) {
     if (obs::http_get("127.0.0.1", probe.port, "/metrics", status, body) &&
         status == 200) {
       bool ok = body.find("colex_elections_total ") != std::string::npos;
-      for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+      for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
         const std::string series = std::string("colex_pulses_total{phase=\"") +
-                                   obs::phase_name(i) + "\"} ";
+                                   sim::phase_name(i) + "\"} ";
         ok = ok && body.find(series) != std::string::npos;
       }
       probe.metrics_ok = ok;

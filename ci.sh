@@ -177,6 +177,26 @@ run_socket_smoke() {
   grep -q '"gate_ok": true' "$dir/BENCH_E18.json"
 }
 
+# JSON artifact gate: every file must parse with python3's json module, an
+# independent reader that rejects raw control bytes inside strings. Files
+# ending in .jsonl are checked line by line, others as one document.
+check_json() {
+  python3 - "$@" <<'PY'
+import json
+import sys
+
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as f:
+        if path.endswith(".jsonl"):
+            for line in f:
+                if line.strip():
+                    json.loads(line)
+        else:
+            json.load(f)
+    print("    valid JSON:", path)
+PY
+}
+
 # Simulator scaling gate: a simulator step must not grow with the number of
 # busy channels, so Algorithm 2's pulses/s at n=1024 must stay at least half
 # its n=16 rate. Both runs share one host, so its speed cancels out of the
@@ -294,13 +314,16 @@ echo "==> [bench-smoke] bench_e12_exhaustive --smoke"
 
 # 9. Observability smoke: E1 exports an instrumented trace, and the
 #    inspector must load it, audit conservation, and confirm the Theorem 1
-#    pulse bound from the recorded stream alone.
+#    pulse bound from the recorded stream alone. The trace, its Chrome
+#    export and the tree's colex-lint --json report must be valid JSON.
 echo "==> [obs-smoke] bench_e1_theorem1 --smoke + colex-inspect check"
 (cd build && ./bench/bench_e1_theorem1 --smoke \
   && ./tools/colex-inspect check TRACE_E1.jsonl | tee /dev/stderr \
      | grep -q "theorem1-bound: OK" \
   && ./tools/colex-inspect chrome TRACE_E1.jsonl TRACE_E1.chrome.json \
   && ./tools/colex-inspect diff TRACE_E1.jsonl TRACE_E1.jsonl >/dev/null)
+./build/tools/colex-lint --json src tools bench > build/LINT_TREE.json
+check_json build/TRACE_E1.jsonl build/TRACE_E1.chrome.json build/LINT_TREE.json
 
 # 10. Fuzz smoke (on the sanitized build, so every generated schedule and
 #    fault plan also runs under ASan+UBSan): a fixed-seed clean+faulty
@@ -309,7 +332,7 @@ echo "==> [obs-smoke] bench_e1_theorem1 --smoke + colex-inspect check"
 #    (colex-fuzz --replay), and export a trace that still passes the REAL
 #    Theorem 1 bound in colex-inspect. The committed repro file is the
 #    regression gate: the pipeline must keep reproducing it byte-for-byte
-#    semantics forever.
+#    semantics forever. The repro and the trace must be valid JSON.
 echo "==> [fuzz-smoke] colex-fuzz campaigns + replay gates"
 (cd build-asan \
   && ./tools/colex-fuzz run --seeds 120 --fault-fraction 0.3 --json \
@@ -322,5 +345,6 @@ echo "==> [fuzz-smoke] colex-fuzz campaigns + replay gates"
   && ./tools/colex-inspect check FUZZ_PLANTED_TRACE.jsonl | tee /dev/stderr \
      | grep -q "theorem1-bound: OK" \
   && ./tools/colex-fuzz --replay ../tests/data/planted_bound_repro.jsonl)
+check_json build-asan/FUZZ_PLANTED.jsonl build-asan/FUZZ_PLANTED_TRACE.jsonl
 
 echo "==> all configurations green"

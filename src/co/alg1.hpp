@@ -32,8 +32,8 @@ class Alg1Stabilizing final : public sim::PulseAutomaton {
     return std::make_unique<Alg1Stabilizing>(*this);
   }
   /// Probe loop until the absorbing pulse fixes a (revocable) role.
-  const char* phase() const override {
-    return role_ == Role::undecided ? "probe" : "elected";
+  sim::Phase phase() const override {
+    return role_ == Role::undecided ? sim::Phase::probe : sim::Phase::elected;
   }
 
   std::uint64_t id() const { return id_; }

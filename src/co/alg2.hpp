@@ -34,10 +34,10 @@ class Alg2Terminating final : public sim::PulseAutomaton {
   /// Paper line ranges: probe (3-13 before a role), initiated_wait (the
   /// unique node inside lines 16-17), elected (role fixed, draining toward
   /// the until), done (past line 18).
-  const char* phase() const override {
-    if (done_) return "done";
-    if (awaiting_return_) return "initiated_wait";
-    return role_ == Role::undecided ? "probe" : "elected";
+  sim::Phase phase() const override {
+    if (done_) return sim::Phase::done;
+    if (awaiting_return_) return sim::Phase::initiated_wait;
+    return role_ == Role::undecided ? sim::Phase::probe : sim::Phase::elected;
   }
 
   std::uint64_t id() const { return id_; }

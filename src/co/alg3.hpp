@@ -70,9 +70,10 @@ class Alg3NonOriented final : public sim::PulseAutomaton {
   /// Probe until the output block fires; afterwards a node whose ports
   /// turned out to be mounted against the elected orientation (cw_port =
   /// Port0) reports orientation_flip, the rest report elected.
-  const char* phase() const override {
-    if (role_ == Role::undecided) return "probe";
-    return cw_port_ == sim::Port::p0 ? "orientation_flip" : "elected";
+  sim::Phase phase() const override {
+    if (role_ == Role::undecided) return sim::Phase::probe;
+    return cw_port_ == sim::Port::p0 ? sim::Phase::orientation_flip
+                                     : sim::Phase::elected;
   }
 
   /// The node's current ID: the initial one, or the latest Prop.-19 redraw.

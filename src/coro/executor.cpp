@@ -275,13 +275,13 @@ void Executor::publish_metrics(
   if (timed_out_) reg.counter("coro.timed_out").inc();
   // Final per-phase node distribution (where every node ended up). During
   // a watchdog dump the same scan runs live in dump().
-  std::size_t by_phase[obs::kPhaseCount] = {};
+  std::size_t by_phase[sim::kPhaseCount] = {};
   for (const auto& nd : nodes_) {
     const std::size_t i = nd.phase.load(std::memory_order_relaxed);
-    ++by_phase[i < obs::kPhaseCount ? i : 0];
+    ++by_phase[i < sim::kPhaseCount ? i : 0];
   }
-  for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-    reg.gauge(obs::labeled("coro.phase_nodes", "phase", obs::phase_name(i)))
+  for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
+    reg.gauge(obs::labeled("coro.phase_nodes", "phase", sim::phase_name(i)))
         .set(static_cast<double>(by_phase[i]));
   }
 }
@@ -330,7 +330,7 @@ std::string Executor::dump() const {
     const std::size_t ph = nd.phase.load(std::memory_order_relaxed);
     os << "  node " << v << ": pending[p0]=" << p0 << " pending[p1]=" << p1
        << " state=" << kStates[static_cast<std::uint32_t>(st)]
-       << " phase=" << obs::phase_name(ph < obs::kPhaseCount ? ph : 0)
+       << " phase=" << sim::phase_name(ph < sim::kPhaseCount ? ph : 0)
        << "\n";
   }
   if (anomalies > kMaxListed) {
@@ -339,15 +339,15 @@ std::string Executor::dump() const {
   }
   // Phase distribution: where the ring's nodes are in the algorithm right
   // now — the first thing a stall post-mortem needs.
-  std::size_t by_phase[obs::kPhaseCount] = {};
+  std::size_t by_phase[sim::kPhaseCount] = {};
   for (const auto& nd : nodes_) {
     const std::size_t i = nd.phase.load(std::memory_order_relaxed);
-    ++by_phase[i < obs::kPhaseCount ? i : 0];
+    ++by_phase[i < sim::kPhaseCount ? i : 0];
   }
   os << "  phases:";
-  for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+  for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
     if (by_phase[i] != 0) {
-      os << " " << obs::phase_name(i) << "=" << by_phase[i];
+      os << " " << sim::phase_name(i) << "=" << by_phase[i];
     }
   }
   os << "\n";

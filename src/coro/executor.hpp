@@ -195,8 +195,8 @@ class Executor {
   /// Publishes node `v`'s current algorithm phase: a relaxed store on the
   /// node's own cache line, read by stall dumps and the per-phase node
   /// distribution gauges. Always cheap enough to leave unconditional.
-  void set_node_phase(std::uint32_t v, obs::Phase p) {
-    nodes_[v].phase.store(static_cast<std::uint8_t>(obs::index(p)),
+  void set_node_phase(std::uint32_t v, sim::Phase p) {
+    nodes_[v].phase.store(static_cast<std::uint8_t>(sim::index(p)),
                           std::memory_order_relaxed);
   }
 
@@ -364,7 +364,7 @@ class CoroIo {
   void send(sim::Port p) { ex_->send_pulse(v_, p); }
   /// Phase-publication extension (detected by the transcriptions via
   /// `requires { io.set_phase(p); }`, same as BlockingPortAdapter).
-  void set_phase(obs::Phase p) { ex_->set_node_phase(v_, p); }
+  void set_phase(sim::Phase p) { ex_->set_node_phase(v_, p); }
   Executor::WaitAnyAwaiter wait_any() {
     return Executor::WaitAnyAwaiter{ex_, v_};
   }

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "coro/spsc.hpp"
-#include "obs/phase.hpp"
 #include "sim/types.hpp"
 #include "util/contracts.hpp"
 
@@ -43,7 +42,7 @@ struct alignas(kCacheLine) CoroNode {
   std::atomic<NodeState> state{NodeState::ready};
   std::uint32_t peer[2] = {0, 0};        ///< node at the far end of port p
   std::uint8_t peer_port[2] = {0, 0};    ///< port label at that peer
-  /// Current algorithm phase (obs::Phase index), published by the node
+  /// Current algorithm phase (sim::Phase index), published by the node
   /// coroutine at transitions — a relaxed store on the node's own line;
   /// read by stall dumps and the per-phase distribution gauges.
   std::atomic<std::uint8_t> phase{0};

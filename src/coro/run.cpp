@@ -42,14 +42,8 @@ CoroRunResult run_on_coro(const std::vector<std::uint64_t>& ids,
     // exclude).
     rt::publish_phase_pulses(*options.metrics, "coro.pulses", result.outcomes,
                              "coro.waits");
-    const std::uint64_t id_max = *std::max_element(ids.begin(), ids.end());
-    std::uint64_t bound = 0;
-    switch (alg) {
-      case rt::ThreadAlg::alg1: bound = n * id_max; break;
-      case rt::ThreadAlg::alg2: bound = n * (2 * id_max + 1); break;
-      case rt::ThreadAlg::alg3_doubled: bound = n * (4 * id_max - 1); break;
-      case rt::ThreadAlg::alg3_improved: bound = n * (2 * id_max + 1); break;
-    }
+    const std::uint64_t bound =
+        rt::pulse_bound(alg, n, *std::max_element(ids.begin(), ids.end()));
     options.metrics->gauge("coro.pulse_bound").set(static_cast<double>(bound));
     options.metrics->gauge("coro.pulse_margin")
         .set(static_cast<double>(bound) - static_cast<double>(result.pulses));

@@ -29,8 +29,8 @@
 #include <string>
 #include <vector>
 
-#include "obs/phase.hpp"
 #include "runtime/port.hpp"
+#include "sim/types.hpp"
 #include "util/contracts.hpp"
 
 namespace colex::net {
@@ -203,10 +203,10 @@ inline std::vector<unsigned char> encode_result(
   w.push_back(out.stopped ? 1 : 0);
   w.push_back(sent);
   w.push_back(consumed);
-  for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+  for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
     w.push_back(out.phase_sends[i]);
   }
-  for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+  for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
     w.push_back(out.phase_waits[i]);
   }
   COLEX_ENSURES(w.size() == kResultWords);
@@ -238,9 +238,9 @@ inline DecodedResult decode_result(const std::vector<std::uint64_t>& w) {
   r.outcome.stopped = w[12] != 0;
   r.sent = w[13];
   r.consumed = w[14];
-  for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+  for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
     r.outcome.phase_sends[i] = w[15 + i];
-    r.outcome.phase_waits[i] = w[15 + obs::kPhaseCount + i];
+    r.outcome.phase_waits[i] = w[15 + sim::kPhaseCount + i];
   }
   return r;
 }

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 
 namespace colex::obs {
 
@@ -30,60 +31,6 @@ bool kind_from_string(const std::string& s, sim::TraceEvent::Kind& out) {
   return false;
 }
 
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
-
-// Minimal extraction from one line of OUR OWN JSONL output (flat objects,
-// no nesting inside the extracted keys). Not a general JSON parser.
-bool find_raw(const std::string& line, const std::string& key,
-              std::size_t& value_begin) {
-  const std::string needle = "\"" + key + "\":";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return false;
-  value_begin = at + needle.size();
-  return true;
-}
-
-bool find_u64(const std::string& line, const std::string& key,
-              std::uint64_t& out) {
-  std::size_t begin = 0;
-  if (!find_raw(line, key, begin)) return false;
-  out = 0;
-  bool any = false;
-  while (begin < line.size() && line[begin] >= '0' && line[begin] <= '9') {
-    out = out * 10 + static_cast<std::uint64_t>(line[begin] - '0');
-    ++begin;
-    any = true;
-  }
-  return any;
-}
-
-bool find_string(const std::string& line, const std::string& key,
-                 std::string& out) {
-  std::size_t begin = 0;
-  if (!find_raw(line, key, begin)) return false;
-  if (begin >= line.size() || line[begin] != '"') return false;
-  ++begin;
-  out.clear();
-  while (begin < line.size() && line[begin] != '"') {
-    if (line[begin] == '\\' && begin + 1 < line.size()) ++begin;
-    out += line[begin];
-    ++begin;
-  }
-  return begin < line.size();
-}
-
 void write_event_json(std::ostream& os, const sim::TraceEvent& e) {
   os << "{\"type\":\"event\",\"index\":" << e.index << ",\"kind\":\""
      << sim::to_string(e.kind) << "\",\"node\":" << e.node
@@ -93,14 +40,11 @@ void write_event_json(std::ostream& os, const sim::TraceEvent& e) {
 
 void write_meta_json(std::ostream& os, const TraceMeta& meta) {
   os << "{\"type\":\"meta\",\"format\":\"colex-trace-v1\",\"algorithm\":";
-  write_escaped(os, meta.algorithm);
+  util::json::write_string(os, meta.algorithm);
   os << ",\"n\":" << meta.n << ",\"id_max\":" << meta.id_max
-     << ",\"pulse_bound\":" << meta.pulse_bound() << ",\"port_flips\":[";
-  for (std::size_t v = 0; v < meta.port_flips.size(); ++v) {
-    if (v) os << ",";
-    os << (meta.port_flips[v] ? 1 : 0);
-  }
-  os << "]}";
+     << ",\"pulse_bound\":" << meta.pulse_bound() << ",\"port_flips\":";
+  util::json::write_uints(os, meta.port_flips);
+  os << "}";
 }
 
 }  // namespace
@@ -133,47 +77,29 @@ LoadedTrace load_jsonl(std::istream& is) {
   bool have_meta = false;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
-    std::string type;
-    COLEX_EXPECTS(find_string(line, "type", type));
+    const util::json::Object obj(line);
+    const auto type = obj.at<std::string>("type");
     if (type == "meta") {
       COLEX_EXPECTS(!have_meta);
       have_meta = true;
-      std::string format;
-      COLEX_EXPECTS(find_string(line, "format", format) &&
-                    format == "colex-trace-v1");
-      find_string(line, "algorithm", out.meta.algorithm);
-      std::uint64_t n = 0;
-      if (find_u64(line, "n", n)) out.meta.n = static_cast<std::size_t>(n);
-      find_u64(line, "id_max", out.meta.id_max);
-      std::size_t begin = 0;
-      if (find_raw(line, "port_flips", begin) && begin < line.size() &&
-          line[begin] == '[') {
-        for (++begin; begin < line.size() && line[begin] != ']'; ++begin) {
-          if (line[begin] == '0') out.meta.port_flips.push_back(false);
-          if (line[begin] == '1') out.meta.port_flips.push_back(true);
-        }
-      }
+      COLEX_EXPECTS(obj.at<std::string>("format") == "colex-trace-v1");
+      obj.get("algorithm", out.meta.algorithm);
+      obj.get("n", out.meta.n);
+      obj.get("id_max", out.meta.id_max);
+      obj.get("port_flips", out.meta.port_flips);
     } else if (type == "event") {
       sim::TraceEvent e;
-      std::string kind, dir;
-      std::uint64_t node = 0, port = 0;
-      COLEX_EXPECTS(find_u64(line, "index", e.index));
-      COLEX_EXPECTS(find_string(line, "kind", kind) &&
-                    kind_from_string(kind, e.kind));
-      COLEX_EXPECTS(find_u64(line, "node", node));
-      COLEX_EXPECTS(find_u64(line, "port", port) && port <= 1);
-      COLEX_EXPECTS(find_string(line, "dir", dir));
-      e.node = static_cast<sim::NodeId>(node);
+      e.index = obj.at<std::uint64_t>("index");
+      COLEX_EXPECTS(kind_from_string(obj.at<std::string>("kind"), e.kind));
+      e.node = obj.at<sim::NodeId>("node");
+      const auto port = obj.at<std::uint64_t>("port");
+      COLEX_EXPECTS(port <= 1);
       e.port = sim::port_from_index(static_cast<int>(port));
-      e.dir = dir == "cw" ? sim::Direction::cw : sim::Direction::ccw;
+      e.dir = obj.at<std::string>("dir") == "cw" ? sim::Direction::cw
+                                                 : sim::Direction::ccw;
       out.events.push_back(e);
     } else if (type == "metrics") {
-      std::size_t begin = 0;
-      if (find_raw(line, "data", begin)) {
-        // The snapshot is the rest of the line minus the closing brace of
-        // the wrapper object.
-        out.metrics_json = line.substr(begin, line.size() - begin - 1);
-      }
+      if (const auto* data = obj.find("data")) out.metrics_json = *data;
     }
     // Unknown line types are skipped: forward compatibility.
   }
@@ -209,9 +135,11 @@ void write_chrome_trace(std::ostream& os,
 
   sep();
   os << "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":{"
-        "\"name\":\"colex ring";
-  if (!meta.algorithm.empty()) os << " (" << meta.algorithm << ")";
-  os << "\"}}";
+        "\"name\":";
+  util::json::write_string(
+      os, meta.algorithm.empty() ? "colex ring"
+                                 : "colex ring (" + meta.algorithm + ")");
+  os << "}}";
   for (std::size_t v = 0; v < n; ++v) {
     sep();
     os << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << v

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/phase.hpp"
 #include "sim/explore.hpp"
 #include "sim/network.hpp"
 #include "sim/parallel.hpp"
@@ -48,9 +47,9 @@ class NetworkInstrumentation {
     sends_cw_ = &registry_.counter("net.sends.cw");
     sends_ccw_ = &registry_.counter("net.sends.ccw");
     deliveries_ = &registry_.counter("net.deliveries");
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
+    for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
       phase_pulses_[i] =
-          &registry_.counter(labeled("pulses", "phase", phase_name(i)));
+          &registry_.counter(labeled("pulses", "phase", sim::phase_name(i)));
     }
     node_sends_.reserve(n);
     node_deliveries_.reserve(n);
@@ -65,8 +64,7 @@ class NetworkInstrumentation {
           sends_->inc();
           (d == sim::Direction::cw ? sends_cw_ : sends_ccw_)->inc();
           node_sends_[v]->inc();
-          phase_pulses_[index(phase_from_string(net_ptr->automaton(v).phase()))]
-              ->inc();
+          phase_pulses_[sim::index(net_ptr->automaton(v).phase())]->inc();
           ++observed_sends_;
           last_send_event_ = events_;
         });
@@ -103,8 +101,8 @@ class NetworkInstrumentation {
     // to the adversary phase so the per-phase series still sum to the
     // fabric's ground-truth total on injection-heavy runs.
     if (counters.sent > observed_sends_) {
-      phase_pulses_[index(Phase::adversary)]->inc(counters.sent -
-                                                  observed_sends_);
+      phase_pulses_[sim::index(sim::Phase::adversary)]->inc(
+          counters.sent - observed_sends_);
     }
     registry_.gauge("net.in_transit_at_end")
         .set(static_cast<double>(counters.sent - counters.consumed));
@@ -135,7 +133,7 @@ class NetworkInstrumentation {
   Counter* sends_cw_ = nullptr;
   Counter* sends_ccw_ = nullptr;
   Counter* deliveries_ = nullptr;
-  Counter* phase_pulses_[kPhaseCount] = {};
+  Counter* phase_pulses_[sim::kPhaseCount] = {};
   std::vector<Counter*> node_sends_;
   std::vector<Counter*> node_deliveries_;
   std::uint64_t observed_sends_ = 0;

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 
 namespace colex::obs {
 
@@ -214,56 +215,35 @@ class Registry {
     return histograms_;
   }
 
-  /// JSON string escaping for metric names. Names are normally plain
-  /// identifiers (dots, braces, '='), but nothing stops a caller from
-  /// registering a name with a quote or backslash — the snapshot must stay
-  /// parseable either way (and registry_from_json undoes exactly this).
-  static void write_escaped_name(std::ostream& os, const std::string& name) {
-    os << '"';
-    for (const char c : name) {
-      switch (c) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\t': os << "\\t"; break;
-        default: os << c;
-      }
-    }
-    os << '"';
-  }
-
   /// One-object JSON snapshot, insertion-ordered — embeddable verbatim in
   /// BENCH_E*.json and trace exports.
   void write_json(std::ostream& os) const {
     os << "{\"counters\":{";
     for (std::size_t i = 0; i < counters_.size(); ++i) {
       if (i) os << ",";
-      write_escaped_name(os, counters_[i].first);
+      util::json::write_string(os, counters_[i].first);
       os << ":" << counters_[i].second->value();
     }
     os << "},\"gauges\":{";
     for (std::size_t i = 0; i < gauges_.size(); ++i) {
       if (i) os << ",";
-      write_escaped_name(os, gauges_[i].first);
+      util::json::write_string(os, gauges_[i].first);
       os << ":" << gauges_[i].second->value();
     }
     os << "},\"histograms\":{";
     for (std::size_t i = 0; i < histograms_.size(); ++i) {
       const Histogram& h = *histograms_[i].second;
       if (i) os << ",";
-      write_escaped_name(os, histograms_[i].first);
+      util::json::write_string(os, histograms_[i].first);
       os << ":{\"count\":" << h.count()
          << ",\"sum\":" << h.sum() << ",\"max\":" << h.max() << ",\"bounds\":[";
       for (std::size_t b = 0; b < h.bounds().size(); ++b) {
         if (b) os << ",";
         os << h.bounds()[b];
       }
-      os << "],\"buckets\":[";
-      for (std::size_t b = 0; b < h.buckets().size(); ++b) {
-        if (b) os << ",";
-        os << h.buckets()[b];
-      }
-      os << "]}";
+      os << "],\"buckets\":";
+      util::json::write_uints(os, h.buckets());
+      os << "}";
     }
     os << "}}";
   }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 
 namespace colex::obs {
 
@@ -184,134 +185,26 @@ std::string to_prometheus(const Registry& reg) {
 // Snapshot loader
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Cursor parser for the exact shape Registry::write_json() emits. Not a
-/// general JSON parser — same minimal-and-strict stance as the
-/// colex-trace-v1 loader in export.cpp.
-class SnapshotParser {
- public:
-  explicit SnapshotParser(const std::string& s) : s_(s) {}
-
-  void expect(char c) {
-    COLEX_EXPECTS(i_ < s_.size() && s_[i_] == c);
-    ++i_;
-  }
-
-  bool consume(char c) {
-    if (i_ < s_.size() && s_[i_] == c) {
-      ++i_;
-      return true;
-    }
-    return false;
-  }
-
-  bool peek(char c) const { return i_ < s_.size() && s_[i_] == c; }
-
-  void expect_literal(const char* lit) {
-    for (const char* p = lit; *p != '\0'; ++p) expect(*p);
-  }
-
-  /// Quoted string, undoing Registry::write_escaped_name.
-  std::string parse_name() {
-    expect('"');
-    std::string out;
-    while (i_ < s_.size() && s_[i_] != '"') {
-      char c = s_[i_++];
-      if (c == '\\') {
-        COLEX_EXPECTS(i_ < s_.size());
-        const char e = s_[i_++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          default: c = e;  // \" and \\ (and anything else verbatim)
-        }
-      }
-      out.push_back(c);
-    }
-    expect('"');
-    return out;
-  }
-
-  double parse_double() {
-    const char* begin = s_.c_str() + i_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    COLEX_EXPECTS(end != begin);
-    i_ += static_cast<std::size_t>(end - begin);
-    return v;
-  }
-
-  std::uint64_t parse_u64() {
-    const char* begin = s_.c_str() + i_;
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(begin, &end, 10);
-    COLEX_EXPECTS(end != begin);
-    i_ += static_cast<std::size_t>(end - begin);
-    return v;
-  }
-
- private:
-  const std::string& s_;
-  std::size_t i_ = 0;
-};
-
-}  // namespace
-
-Registry registry_from_json(const std::string& json) {
+Registry registry_from_json(const std::string& text) {
+  namespace json = util::json;
   Registry reg;
-  SnapshotParser p(json);
-
-  p.expect('{');
-  p.expect_literal("\"counters\":{");
-  while (!p.consume('}')) {
-    const std::string name = p.parse_name();
-    p.expect(':');
-    reg.counter(name).inc(p.parse_u64());
-    p.consume(',');
+  const json::Object snapshot(text);
+  const json::Object counters(snapshot.raw("counters"));
+  for (const auto& [name, value] : counters.members()) {
+    reg.counter(name).inc(json::as<std::uint64_t>(value));
   }
-  p.expect(',');
-  p.expect_literal("\"gauges\":{");
-  while (!p.consume('}')) {
-    const std::string name = p.parse_name();
-    p.expect(':');
-    reg.gauge(name).set(p.parse_double());
-    p.consume(',');
+  const json::Object gauges(snapshot.raw("gauges"));
+  for (const auto& [name, value] : gauges.members()) {
+    reg.gauge(name).set(json::as<double>(value));
   }
-  p.expect(',');
-  p.expect_literal("\"histograms\":{");
-  while (!p.consume('}')) {
-    const std::string name = p.parse_name();
-    p.expect(':');
-    p.expect('{');
-    p.expect_literal("\"count\":");
-    const std::uint64_t count = p.parse_u64();
-    p.expect(',');
-    p.expect_literal("\"sum\":");
-    const double sum = p.parse_double();
-    p.expect(',');
-    p.expect_literal("\"max\":");
-    const double max = p.parse_double();
-    p.expect(',');
-    p.expect_literal("\"bounds\":[");
-    std::vector<double> bounds;
-    while (!p.consume(']')) {
-      bounds.push_back(p.parse_double());
-      p.consume(',');
-    }
-    p.expect(',');
-    p.expect_literal("\"buckets\":[");
-    std::vector<std::uint64_t> buckets;
-    while (!p.consume(']')) {
-      buckets.push_back(p.parse_u64());
-      p.consume(',');
-    }
-    p.expect('}');
-    reg.histogram(name, std::move(bounds))
-        .restore(count, sum, max, std::move(buckets));
-    p.consume(',');
+  const json::Object histograms(snapshot.raw("histograms"));
+  for (const auto& [name, value] : histograms.members()) {
+    const json::Object h(value);
+    reg.histogram(name, h.at<std::vector<double>>("bounds"))
+        .restore(h.at<std::uint64_t>("count"), h.at<double>("sum"),
+                 h.at<double>("max"),
+                 h.at<std::vector<std::uint64_t>>("buckets"));
   }
-  p.expect('}');
   return reg;
 }
 

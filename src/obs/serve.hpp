@@ -51,7 +51,7 @@ std::string to_prometheus(const Registry& reg);
 /// Parses a Registry::write_json() snapshot (as embedded in colex-trace-v1
 /// `metrics` lines and BENCH_E*.json) back into a Registry. Throws
 /// util::ContractViolation on malformed input.
-Registry registry_from_json(const std::string& json);
+Registry registry_from_json(const std::string& text);
 
 /// Blocking HTTP/1.1 introspection server on 127.0.0.1.
 class MetricsServer {

@@ -1,7 +1,6 @@
 #include "qa/repro.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -9,121 +8,17 @@
 #include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 
 namespace colex::qa {
 
 namespace {
-
-// Minimal extraction from one line of OUR OWN JSONL output (flat objects,
-// no nesting inside the extracted keys) — same dialect as obs/export.cpp.
-bool find_raw(const std::string& line, const std::string& key,
-              std::size_t& value_begin) {
-  const std::string needle = "\"" + key + "\":";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return false;
-  value_begin = at + needle.size();
-  return true;
-}
-
-bool find_u64(const std::string& line, const std::string& key,
-              std::uint64_t& out) {
-  std::size_t begin = 0;
-  if (!find_raw(line, key, begin)) return false;
-  out = 0;
-  bool any = false;
-  while (begin < line.size() && line[begin] >= '0' && line[begin] <= '9') {
-    out = out * 10 + static_cast<std::uint64_t>(line[begin] - '0');
-    ++begin;
-    any = true;
-  }
-  return any;
-}
-
-bool find_string(const std::string& line, const std::string& key,
-                 std::string& out) {
-  std::size_t begin = 0;
-  if (!find_raw(line, key, begin)) return false;
-  if (begin >= line.size() || line[begin] != '"') return false;
-  ++begin;
-  out.clear();
-  while (begin < line.size() && line[begin] != '"') {
-    if (line[begin] == '\\' && begin + 1 < line.size()) {
-      ++begin;
-      switch (line[begin]) {
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        default: out += line[begin];
-      }
-    } else {
-      out += line[begin];
-    }
-    ++begin;
-  }
-  return begin < line.size();
-}
-
-bool find_double(const std::string& line, const std::string& key,
-                 double& out) {
-  std::size_t begin = 0;
-  if (!find_raw(line, key, begin)) return false;
-  const char* start = line.c_str() + begin;
-  char* end = nullptr;
-  out = std::strtod(start, &end);
-  return end != start;
-}
-
-bool find_u64_array(const std::string& line, const std::string& key,
-                    std::vector<std::uint64_t>& out) {
-  std::size_t begin = 0;
-  if (!find_raw(line, key, begin)) return false;
-  if (begin >= line.size() || line[begin] != '[') return false;
-  out.clear();
-  std::uint64_t value = 0;
-  bool in_number = false;
-  for (++begin; begin < line.size(); ++begin) {
-    const char ch = line[begin];
-    if (ch >= '0' && ch <= '9') {
-      value = value * 10 + static_cast<std::uint64_t>(ch - '0');
-      in_number = true;
-    } else {
-      if (in_number) out.push_back(value);
-      value = 0;
-      in_number = false;
-      if (ch == ']') return true;
-      if (ch != ',') return false;
-    }
-  }
-  return false;
-}
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
 
 void write_double(std::ostream& os, double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.*g",
                 std::numeric_limits<double>::max_digits10, v);
   os << buf;
-}
-
-void write_u64_array(std::ostream& os, const std::vector<std::uint64_t>& xs) {
-  os << '[';
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i) os << ',';
-    os << xs[i];
-  }
-  os << ']';
 }
 
 bool fault_kind_from_string(const std::string& s, sim::FaultKind& out) {
@@ -149,11 +44,11 @@ void write_profile_fields(std::ostream& os,
   write_double(os, p.spurious_prob);
 }
 
-sim::ChannelFaultProfile read_profile_fields(const std::string& line) {
+sim::ChannelFaultProfile read_profile_fields(const util::json::Object& obj) {
   sim::ChannelFaultProfile p;
-  find_double(line, "drop", p.drop_prob);
-  find_double(line, "duplicate", p.duplicate_prob);
-  find_double(line, "spurious", p.spurious_prob);
+  obj.get("drop", p.drop_prob);
+  obj.get("duplicate", p.duplicate_prob);
+  obj.get("spurious", p.spurious_prob);
   return p;
 }
 
@@ -163,25 +58,21 @@ void write_repro(std::ostream& os, const ReproFile& repro) {
   const FuzzCase& c = repro.c;
   os << "{\"type\":\"repro\",\"format\":\"colex-repro-v1\",\"seed\":" << c.seed
      << ",\"algorithm\":\"" << to_string(c.alg) << "\",\"ids\":";
-  write_u64_array(os, c.ids);
-  os << ",\"port_flips\":[";
-  for (std::size_t v = 0; v < c.port_flips.size(); ++v) {
-    if (v) os << ',';
-    os << (c.port_flips[v] ? 1 : 0);
-  }
-  os << "],\"schedule_seed\":" << c.schedule_seed
+  util::json::write_uints(os, c.ids);
+  os << ",\"port_flips\":";
+  util::json::write_uints(os, c.port_flips);
+  os << ",\"schedule_seed\":" << c.schedule_seed
      << ",\"max_events\":" << c.max_events
      << ",\"planted\":" << (repro.props.planted_bound_bug ? 1 : 0)
      << ",\"check_replay\":" << (repro.props.check_replay ? 1 : 0)
      << ",\"failed_property\":";
-  write_escaped(os, repro.failed_property);
+  util::json::write_string(os, repro.failed_property);
   os << ",\"diagnostic\":";
-  write_escaped(os, repro.diagnostic);
+  util::json::write_string(os, repro.diagnostic);
   os << "}\n";
 
   os << "{\"type\":\"tape\",\"choices\":";
-  write_u64_array(
-      os, std::vector<std::uint64_t>(c.tape.begin(), c.tape.end()));
+  util::json::write_uints(os, c.tape);
   os << "}\n";
 
   os << "{\"type\":\"fault-plan\",\"plan_seed\":" << c.faults.seed << ",";
@@ -204,8 +95,7 @@ void write_repro(std::ostream& os, const ReproFile& repro) {
   if (c.corrupt.active) {
     os << "{\"type\":\"corrupt\",\"node\":" << c.corrupt.node
        << ",\"counters\":";
-    write_u64_array(os, {c.corrupt.counters[0], c.corrupt.counters[1],
-                         c.corrupt.counters[2], c.corrupt.counters[3]});
+    util::json::write_uints(os, c.corrupt.counters);
     os << "}\n";
   }
 }
@@ -222,81 +112,50 @@ ReproFile load_repro(std::istream& is) {
   bool have_header = false;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
-    std::string type;
-    COLEX_EXPECTS(find_string(line, "type", type));
+    const util::json::Object obj(line);
+    const auto type = obj.at<std::string>("type");
     if (type == "repro") {
       COLEX_EXPECTS(!have_header);
       have_header = true;
-      std::string format;
-      COLEX_EXPECTS(find_string(line, "format", format) &&
-                    format == "colex-repro-v1");
-      find_u64(line, "seed", out.c.seed);
-      std::string alg;
-      COLEX_EXPECTS(find_string(line, "algorithm", alg) &&
-                    algorithm_from_string(alg, out.c.alg));
-      COLEX_EXPECTS(find_u64_array(line, "ids", out.c.ids) &&
-                    !out.c.ids.empty());
-      std::size_t begin = 0;
-      if (find_raw(line, "port_flips", begin) && begin < line.size() &&
-          line[begin] == '[') {
-        for (++begin; begin < line.size() && line[begin] != ']'; ++begin) {
-          if (line[begin] == '0') out.c.port_flips.push_back(false);
-          if (line[begin] == '1') out.c.port_flips.push_back(true);
-        }
-      }
-      find_u64(line, "schedule_seed", out.c.schedule_seed);
-      find_u64(line, "max_events", out.c.max_events);
-      std::uint64_t flag = 0;
-      if (find_u64(line, "planted", flag)) {
-        out.props.planted_bound_bug = flag != 0;
-      }
-      if (find_u64(line, "check_replay", flag)) {
-        out.props.check_replay = flag != 0;
-      }
-      find_string(line, "failed_property", out.failed_property);
-      find_string(line, "diagnostic", out.diagnostic);
+      COLEX_EXPECTS(obj.at<std::string>("format") == "colex-repro-v1");
+      obj.get("seed", out.c.seed);
+      COLEX_EXPECTS(
+          algorithm_from_string(obj.at<std::string>("algorithm"), out.c.alg));
+      out.c.ids = obj.at<std::vector<std::uint64_t>>("ids");
+      COLEX_EXPECTS(!out.c.ids.empty());
+      obj.get("port_flips", out.c.port_flips);
+      obj.get("schedule_seed", out.c.schedule_seed);
+      obj.get("max_events", out.c.max_events);
+      obj.get("planted", out.props.planted_bound_bug);
+      obj.get("check_replay", out.props.check_replay);
+      obj.get("failed_property", out.failed_property);
+      obj.get("diagnostic", out.diagnostic);
     } else if (type == "tape") {
-      std::vector<std::uint64_t> choices;
-      COLEX_EXPECTS(find_u64_array(line, "choices", choices));
-      out.c.tape.assign(choices.begin(), choices.end());
+      out.c.tape = obj.at<std::vector<std::size_t>>("choices");
     } else if (type == "fault-plan") {
-      find_u64(line, "plan_seed", out.c.faults.seed);
-      out.c.faults.all_channels = read_profile_fields(line);
+      obj.get("plan_seed", out.c.faults.seed);
+      out.c.faults.all_channels = read_profile_fields(obj);
     } else if (type == "override") {
-      std::uint64_t channel = 0;
-      COLEX_EXPECTS(find_u64(line, "channel", channel));
       out.c.faults.channel_overrides.emplace_back(
-          static_cast<std::size_t>(channel), read_profile_fields(line));
+          obj.at<std::size_t>("channel"), read_profile_fields(obj));
     } else if (type == "scripted") {
       sim::ScriptedFault f;
-      std::string kind;
-      COLEX_EXPECTS(find_string(line, "kind", kind) &&
-                    fault_kind_from_string(kind, f.kind));
-      find_u64(line, "at_event", f.at_event);
-      std::uint64_t channel = 0, node = 0;
-      if (find_u64(line, "channel", channel)) {
-        f.channel = static_cast<std::size_t>(channel);
-      }
-      if (find_u64(line, "node", node)) {
-        f.node = static_cast<sim::NodeId>(node);
-      }
+      COLEX_EXPECTS(
+          fault_kind_from_string(obj.at<std::string>("kind"), f.kind));
+      obj.get("at_event", f.at_event);
+      obj.get("channel", f.channel);
+      obj.get("node", f.node);
       out.c.faults.script.push_back(f);
     } else if (type == "preseed") {
-      std::uint64_t channel = 0, count = 0;
-      COLEX_EXPECTS(find_u64(line, "channel", channel) &&
-                    find_u64(line, "count", count));
       out.c.faults.preseed_channels.emplace_back(
-          static_cast<std::size_t>(channel), static_cast<std::size_t>(count));
+          obj.at<std::size_t>("channel"), obj.at<std::size_t>("count"));
     } else if (type == "corrupt") {
-      std::uint64_t node = 0;
-      std::vector<std::uint64_t> counters;
-      COLEX_EXPECTS(find_u64(line, "node", node) &&
-                    find_u64_array(line, "counters", counters) &&
-                    counters.size() == 4);
+      const auto counters = obj.at<std::vector<std::uint64_t>>("counters");
+      COLEX_EXPECTS(counters.size() == 4);
       out.c.corrupt.active = true;
-      out.c.corrupt.node = static_cast<sim::NodeId>(node);
-      for (int i = 0; i < 4; ++i) {
-        out.c.corrupt.counters[i] = counters[static_cast<std::size_t>(i)];
+      out.c.corrupt.node = obj.at<sim::NodeId>("node");
+      for (std::size_t i = 0; i < 4; ++i) {
+        out.c.corrupt.counters[i] = counters[i];
       }
     }
     // Unknown line types are skipped: forward compatibility.

@@ -1,7 +1,7 @@
 // Replayable counterexample files (colex-repro-v1): a FuzzCase plus the
-// failure it reproduces, serialized as line-typed JSONL in the same minimal
-// dialect as the colex-trace-v1 exporter — flat objects, one per line,
-// parseable without a JSON library. A repro file is self-contained: loading
+// failure it reproduces, serialized as line-typed JSONL like the
+// colex-trace-v1 exporter — one flat object per line, written and read
+// through util/json.hpp. A repro file is self-contained: loading
 // it and running check_case with the recorded property options must
 // reproduce the recorded failed property deterministically (that round trip
 // is exactly what `colex-fuzz replay` and the CI regression gate do).

@@ -82,17 +82,10 @@ ThreadRunResult run_on_threads(const std::vector<std::uint64_t>& ids,
   tally_leaders(result);
   if (metrics != nullptr) {
     publish_phase_pulses(*metrics, "rt.pulses", result.outcomes);
-    // Theorem 1 margin as gauges: bound by algorithm family (Corollary 13
-    // for Alg 1, Theorem 1 for Alg 2, Prop. 15 / Thm. 2 for Alg 3), with
-    // injected pulses excluded — the bound speaks about node sends.
-    const std::uint64_t id_max = *std::max_element(ids.begin(), ids.end());
-    std::uint64_t bound = 0;
-    switch (alg) {
-      case ThreadAlg::alg1: bound = n * id_max; break;
-      case ThreadAlg::alg2: bound = n * (2 * id_max + 1); break;
-      case ThreadAlg::alg3_doubled: bound = n * (4 * id_max - 1); break;
-      case ThreadAlg::alg3_improved: bound = n * (2 * id_max + 1); break;
-    }
+    // Theorem 1 margin as gauges, with injected pulses excluded — the
+    // bound speaks about node sends.
+    const std::uint64_t bound =
+        pulse_bound(alg, n, *std::max_element(ids.begin(), ids.end()));
     metrics->gauge("rt.pulse_bound").set(static_cast<double>(bound));
     metrics->gauge("rt.pulse_margin")
         .set(static_cast<double>(bound) -

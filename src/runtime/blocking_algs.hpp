@@ -34,7 +34,7 @@ namespace detail {
 
 // Oriented-ring wrappers matching the paper's four methods (§3): sendCW
 // transmits on Port1; CW pulses arrive at Port0. The wrapper also carries
-// the node's current phase (obs/phase.hpp): every send is attributed to
+// the node's current phase (sim::Phase): every send is attributed to
 // the phase in force at the call, mirroring how the sim-side instrumention
 // samples Automaton::phase() at each genuine send, and enter() publishes
 // transitions to ports that expose the optional set_phase extension.
@@ -42,19 +42,19 @@ template <PulsePort Io>
 struct OrientedIo {
   Io& io;
   BlockingOutcome& out;
-  obs::Phase phase = obs::Phase::probe;
+  sim::Phase phase = sim::Phase::probe;
 
-  void enter(obs::Phase p) {
+  void enter(sim::Phase p) {
     if (p == phase) return;
     phase = p;
     if constexpr (requires { io.set_phase(p); }) io.set_phase(p);
   }
-  void count_wait() { ++out.phase_waits[obs::index(phase)]; }
+  void count_wait() { ++out.phase_waits[sim::index(phase)]; }
 
   void send_cw() {
     io.send(co::kCwPort);
     ++out.counters.sigma_cw;
-    ++out.phase_sends[obs::index(phase)];
+    ++out.phase_sends[sim::index(phase)];
   }
   bool recv_cw() {
     if (!io.recv(co::kCcwPort)) return false;
@@ -64,7 +64,7 @@ struct OrientedIo {
   void send_ccw() {
     io.send(co::kCcwPort);
     ++out.counters.sigma_ccw;
-    ++out.phase_sends[obs::index(phase)];
+    ++out.phase_sends[sim::index(phase)];
   }
   bool recv_ccw() {
     if (!io.recv(co::kCwPort)) return false;
@@ -89,10 +89,10 @@ ElectionTask run_alg1(Io io, std::uint64_t id) {
     if (ring.recv_cw()) {  // line 3
       if (out.counters.rho_cw == id) {  // line 4
         out.role = co::Role::leader;
-        ring.enter(obs::Phase::elected);
+        ring.enter(sim::Phase::elected);
       } else {
         out.role = co::Role::non_leader;
-        ring.enter(obs::Phase::elected);
+        ring.enter(sim::Phase::elected);
         ring.send_cw();
       }
     } else {
@@ -124,7 +124,7 @@ ElectionTask run_alg2(Io io, std::uint64_t id) {
       } else {
         out.role = co::Role::non_leader;
       }
-      ring.enter(obs::Phase::elected);
+      ring.enter(sim::Phase::elected);
       if (out.role == co::Role::non_leader) ring.send_cw();
       progress = true;
     }
@@ -142,7 +142,7 @@ ElectionTask run_alg2(Io io, std::uint64_t id) {
       initiated = true;
       // Enter before the send: the termination pulse belongs to the
       // initiated_wait phase (matching Alg2Terminating's ordering).
-      ring.enter(obs::Phase::initiated_wait);
+      ring.enter(sim::Phase::initiated_wait);
       ring.send_ccw();
       while (!ring.recv_ccw()) {
         ring.count_wait();
@@ -161,7 +161,7 @@ ElectionTask run_alg2(Io io, std::uint64_t id) {
       }
     }
   } while (!(k.rho_ccw > k.rho_cw));  // line 18
-  ring.enter(obs::Phase::done);
+  ring.enter(sim::Phase::done);
   out.terminated = true;  // line 19: output state
   co_return out;
 }
@@ -174,8 +174,8 @@ ElectionTask run_alg3(Io io, std::uint64_t id, co::IdScheme scheme) {
   out.id = id;
   const co::VirtualIds vids = co::virtual_ids(id, scheme);
 
-  obs::Phase phase = obs::Phase::probe;
-  auto enter = [&](obs::Phase p) {
+  sim::Phase phase = sim::Phase::probe;
+  auto enter = [&](sim::Phase p) {
     if (p == phase) return;
     phase = p;
     if constexpr (requires { io.set_phase(p); }) io.set_phase(p);
@@ -183,7 +183,7 @@ ElectionTask run_alg3(Io io, std::uint64_t id, co::IdScheme scheme) {
   auto send_port = [&](int i) {
     io.send(sim::port_from_index(i));
     ++out.sigma_port[i];
-    ++out.phase_sends[obs::index(phase)];
+    ++out.phase_sends[sim::index(phase)];
   };
   auto recv_port = [&](int i) {
     if (!io.recv(sim::port_from_index(i))) return false;
@@ -209,11 +209,11 @@ ElectionTask run_alg3(Io io, std::uint64_t id, co::IdScheme scheme) {
       }
       out.cw_port =
           out.rho_port[0] > out.rho_port[1] ? sim::Port::p1 : sim::Port::p0;
-      enter(out.cw_port == sim::Port::p0 ? obs::Phase::orientation_flip
-                                         : obs::Phase::elected);
+      enter(out.cw_port == sim::Port::p0 ? sim::Phase::orientation_flip
+                                         : sim::Phase::elected);
     }
     if (!progress) {
-      ++out.phase_waits[obs::index(phase)];
+      ++out.phase_waits[sim::index(phase)];
       if (!co_await io.wait_any()) {
         out.stopped = true;
         co_return out;
@@ -224,6 +224,20 @@ ElectionTask run_alg3(Io io, std::uint64_t id, co::IdScheme scheme) {
 
 /// Which algorithm a run executes (shared by ThreadRing and src/coro).
 enum class ThreadAlg { alg1, alg2, alg3_doubled, alg3_improved };
+
+/// The paper's pulse bound for `alg` on n nodes with maximum ID `id_max`:
+/// Corollary 13 for Algorithm 1, Theorem 1 for Algorithm 2, and Prop. 15 /
+/// Theorem 2 for Algorithm 3 under the doubled / improved ID scheme.
+constexpr std::uint64_t pulse_bound(ThreadAlg alg, std::uint64_t n,
+                                    std::uint64_t id_max) {
+  switch (alg) {
+    case ThreadAlg::alg1: return n * id_max;
+    case ThreadAlg::alg2: return n * (2 * id_max + 1);
+    case ThreadAlg::alg3_doubled: return n * (4 * id_max - 1);
+    case ThreadAlg::alg3_improved: return n * (2 * id_max + 1);
+  }
+  return 0;
+}
 
 /// Instantiates the template transcription for `alg` over any PulsePort.
 template <PulsePort Io>

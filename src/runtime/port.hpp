@@ -26,7 +26,6 @@
 #include "co/oriented.hpp"
 #include "co/roles.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase.hpp"
 #include "runtime/thread_ring.hpp"
 #include "runtime/transport.hpp"
 #include "sim/types.hpp"
@@ -49,11 +48,11 @@ struct BlockingOutcome {
   /// `stopped` set: its local state died with it.
   std::uint64_t restarts = 0;
   /// Pulses sent and blocking waits entered, attributed to the algorithm
-  /// phase the node was in at the time (obs/phase.hpp). Plain coroutine
+  /// phase the node was in at the time (sim::Phase). Plain coroutine
   /// locals — always-on, deterministic, and free of synchronization; the
   /// harnesses merge them post-join into per-phase registry series.
-  std::array<std::uint64_t, obs::kPhaseCount> phase_sends{};
-  std::array<std::uint64_t, obs::kPhaseCount> phase_waits{};
+  std::array<std::uint64_t, sim::kPhaseCount> phase_sends{};
+  std::array<std::uint64_t, sim::kPhaseCount> phase_waits{};
 };
 
 /// Folds the outcomes' per-phase send tallies into `registry` as
@@ -64,16 +63,16 @@ inline void publish_phase_pulses(obs::Registry& registry,
                                  const std::string& sends_family,
                                  const std::vector<BlockingOutcome>& outcomes,
                                  const char* waits_family = nullptr) {
-  std::array<std::uint64_t, obs::kPhaseCount> sends{};
-  std::array<std::uint64_t, obs::kPhaseCount> waits{};
+  std::array<std::uint64_t, sim::kPhaseCount> sends{};
+  std::array<std::uint64_t, sim::kPhaseCount> waits{};
   for (const auto& out : outcomes) {
-    for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+    for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
       sends[i] += out.phase_sends[i];
       waits[i] += out.phase_waits[i];
     }
   }
-  for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-    const char* name = obs::phase_name(i);
+  for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
+    const char* name = sim::phase_name(i);
     registry.counter(obs::labeled(sends_family, "phase", name)).inc(sends[i]);
     if (waits_family != nullptr) {
       registry.counter(obs::labeled(waits_family, "phase", name))

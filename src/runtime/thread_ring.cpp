@@ -27,7 +27,7 @@ bool NodeIo::wait_any() {
   if (dead()) return false;
   return ring_.wait_any(self_);
 }
-void NodeIo::set_phase(obs::Phase p) {
+void NodeIo::set_phase(sim::Phase p) {
   if (dead()) return;
   ring_.set_phase(self_, p);
 }
@@ -289,8 +289,8 @@ void ThreadRing::publish_metrics() const {
   // Phase telemetry: where every node is right now (one gauge per phase)
   // and the per-node mean blocking wait attributed to the phase in force
   // when the wait began (one histogram per phase, same bounds as above).
-  for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
-    const char* name = obs::phase_name(i);
+  for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
+    const char* name = sim::phase_name(i);
     std::uint64_t in_phase = 0;
     auto& phase_waits =
         reg.histogram(obs::labeled("rt.wait_ms", "phase", name),
@@ -436,7 +436,7 @@ std::string ThreadRing::dump() const {
       if (epoch == fence) break;
     }
     os << "  node " << v << ": phase="
-       << obs::phase_name(node.phase.load(std::memory_order_relaxed))
+       << sim::phase_name(node.phase.load(std::memory_order_relaxed))
        << " pending[p0]=" << p0 << " pending[p1]=" << p1 << " sent=" << sent
        << " consumed=" << consumed << (crashed ? " CRASHED" : "")
        << " epoch=" << epoch << " acked=" << acked << "\n";
@@ -444,14 +444,14 @@ std::string ThreadRing::dump() const {
   // Phase distribution at the moment of the dump: the single most useful
   // stall signal ("everyone is parked in initiated_wait" reads instantly).
   {
-    std::uint64_t in_phase[obs::kPhaseCount] = {};
+    std::uint64_t in_phase[sim::kPhaseCount] = {};
     for (const auto& node : nodes_) {
       ++in_phase[node.phase.load(std::memory_order_relaxed)];
     }
     os << "  phases:";
-    for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+    for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
       if (in_phase[i] != 0) {
-        os << " " << obs::phase_name(i) << "=" << in_phase[i];
+        os << " " << sim::phase_name(i) << "=" << in_phase[i];
       }
     }
     os << "\n";

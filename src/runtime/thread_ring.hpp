@@ -43,7 +43,6 @@
 
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase.hpp"
 #include "runtime/progress.hpp"
 #include "sim/types.hpp"
 #include "util/contracts.hpp"
@@ -98,7 +97,7 @@ class NodeIo {
   /// Publishes the node's current algorithm phase (one relaxed store on
   /// the node's own state) so watchdog dumps and live per-phase gauges see
   /// where every node is. Dead incarnations stay silent.
-  void set_phase(obs::Phase p);
+  void set_phase(sim::Phase p);
 
  private:
   friend class ThreadRing;
@@ -249,21 +248,21 @@ class ThreadRing {
     std::atomic<std::uint64_t> wait_count{0};
     std::atomic<std::uint64_t> wait_ns{0};
     std::atomic<std::uint64_t> wait_max_ns{0};
-    // Current algorithm phase (obs::Phase index), published by the worker
+    // Current algorithm phase (sim::Phase index), published by the worker
     // at transitions; read by dumps and the per-phase gauges.
     std::atomic<std::uint8_t> phase{0};
     // The wait probes again, attributed to the phase in force when the
     // wait began (metrics-gated writes, owner thread only).
-    std::atomic<std::uint64_t> phase_wait_count[obs::kPhaseCount] = {};
-    std::atomic<std::uint64_t> phase_wait_ns[obs::kPhaseCount] = {};
+    std::atomic<std::uint64_t> phase_wait_count[sim::kPhaseCount] = {};
+    std::atomic<std::uint64_t> phase_wait_ns[sim::kPhaseCount] = {};
   };
 
   bool recv(sim::NodeId v, sim::Port p);
   void send(sim::NodeId v, sim::Port p);
   bool wait_any(sim::NodeId v);
   std::size_t pending(sim::NodeId v, sim::Port p) const;
-  void set_phase(sim::NodeId v, obs::Phase p) {
-    nodes_[v].phase.store(static_cast<std::uint8_t>(obs::index(p)),
+  void set_phase(sim::NodeId v, sim::Phase p) {
+    nodes_[v].phase.store(static_cast<std::uint8_t>(sim::index(p)),
                           std::memory_order_relaxed);
   }
   void broadcast_stop();

@@ -34,7 +34,6 @@
 #include <coroutine>
 #include <utility>
 
-#include "obs/phase.hpp"
 #include "sim/types.hpp"
 
 namespace colex::rt {
@@ -86,7 +85,7 @@ class TransportPort {
   /// transport supports it. Transcriptions detect this extension via
   /// `requires { io.set_phase(p); }` — transports without it still satisfy
   /// Transport, and the constrained member simply drops out.
-  void set_phase(obs::Phase p)
+  void set_phase(sim::Phase p)
     requires requires(T& t) { t.set_phase(p); }
   {
     t_.set_phase(p);

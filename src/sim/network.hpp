@@ -119,12 +119,12 @@ class Automaton {
   /// algorithms).
   virtual bool terminated() const { return false; }
 
-  /// The algorithm phase this node is currently in, as one of the stable
-  /// tags in obs/phase.hpp ("probe", "elected", "initiated_wait",
-  /// "orientation_flip", "done"). Phase-aware instrumentation samples this
-  /// at each send to attribute pulses to phases; the default covers
-  /// automata that never decide anything.
-  virtual const char* phase() const { return "probe"; }
+  /// The algorithm phase this node is currently in (sim/types.hpp: probe,
+  /// elected, initiated_wait, orientation_flip or done). Phase-aware
+  /// instrumentation samples this at each send and indexes its per-phase
+  /// tallies with it, so attributing a pulse costs one virtual call; the
+  /// default covers automata that never decide anything.
+  virtual Phase phase() const { return Phase::probe; }
 
   /// Deep copy of the automaton's current state. The fork-based schedule
   /// explorer (sim/explore.hpp) snapshots a frontier network — including

@@ -13,10 +13,10 @@
 
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
-#include "obs/phase.hpp"
 #include "obs/serve.hpp"
 #include "runtime/progress.hpp"
 #include "sim/parallel.hpp"
+#include "sim/types.hpp"
 #include "util/contracts.hpp"
 
 namespace colex::svc {
@@ -73,10 +73,10 @@ void shard_main(Shard& shard, std::size_t shard_index, SharedState& shared,
   // live scrape and the end-of-run snapshot must render the same `# TYPE`
   // lines).
   obs::Counter& c_elections = reg.counter("elections");
-  obs::Counter* c_phase[obs::kPhaseCount];
-  for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+  obs::Counter* c_phase[sim::kPhaseCount];
+  for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
     c_phase[i] =
-        &reg.counter(obs::labeled("pulses", "phase", obs::phase_name(i)));
+        &reg.counter(obs::labeled("pulses", "phase", sim::phase_name(i)));
   }
   obs::Counter& c_started = reg.counter("svc.elections.started");
   obs::Counter& c_completed = reg.counter("svc.elections.completed");
@@ -137,7 +137,7 @@ void shard_main(Shard& shard, std::size_t shard_index, SharedState& shared,
     c_faults.inc(er.faults_applied);
     c_pulses.inc(er.pulses);
     c_events.inc(er.events_consumed);
-    for (std::size_t p = 0; p < obs::kPhaseCount; ++p) {
+    for (std::size_t p = 0; p < sim::kPhaseCount; ++p) {
       c_phase[p]->inc(er.phase_pulses[p]);
     }
     if (er.completed) {

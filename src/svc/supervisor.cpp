@@ -74,7 +74,7 @@ AttemptResult run_attempt_coro(const RingSpec& spec) {
   AttemptResult a;
   a.on_coro = true;
   for (const rt::BlockingOutcome& out : r.outcomes) {
-    for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+    for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
       a.phase_pulses[i] += out.phase_sends[i];
     }
   }
@@ -132,7 +132,7 @@ AttemptResult run_attempt_socket(const RingSpec& spec) {
   AttemptResult a;
   a.on_socket = true;
   for (const rt::BlockingOutcome& out : r.outcomes) {
-    for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+    for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
       a.phase_pulses[i] += out.phase_sends[i];
     }
   }
@@ -201,14 +201,13 @@ AttemptResult run_attempt(const RingSpec& spec, SoakBackend backend) {
   // through the network so crash/recover automaton swaps stay safe). Plain
   // stack tallies, not a registry: attempts are the soak hot loop, and the
   // shard folds the result into its own registry post-attempt.
-  std::array<std::uint64_t, obs::kPhaseCount> phase_pulses{};
+  std::array<std::uint64_t, sim::kPhaseCount> phase_pulses{};
   std::uint64_t observed_sends = 0;
   sim::PulseNetwork* const net_ptr = &faulty.network();
   net_ptr->chain_send_observer(
       [net_ptr, &phase_pulses, &observed_sends](sim::NodeId v, sim::Port,
                                                 sim::Direction) {
-        ++phase_pulses[obs::index(
-            obs::phase_from_string(net_ptr->automaton(v).phase()))];
+        ++phase_pulses[sim::index(net_ptr->automaton(v).phase())];
         ++observed_sends;
       });
 
@@ -255,7 +254,7 @@ AttemptResult run_attempt(const RingSpec& spec, SoakBackend backend) {
   if (a.pulses > observed_sends) {
     // Fabric pulses no node sent (injections, duplicates): the adversary
     // bucket keeps the per-phase series summing to the ground-truth total.
-    a.phase_pulses[obs::index(obs::Phase::adversary)] +=
+    a.phase_pulses[sim::index(sim::Phase::adversary)] +=
         a.pulses - observed_sends;
   }
 

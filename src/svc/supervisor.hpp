@@ -27,8 +27,8 @@
 #include <cstdint>
 #include <string>
 
-#include "obs/phase.hpp"
 #include "sim/faults.hpp"
+#include "sim/types.hpp"
 #include "svc/churn.hpp"
 
 namespace colex::svc {
@@ -72,12 +72,12 @@ struct AttemptResult {
   bool on_coro = false;        ///< ran on the coroutine executor
   bool on_socket = false;      ///< ran on the real-socket backend
   /// Pulses attributed to the algorithm phase the sender was in
-  /// (obs/phase.hpp); fabric pulses no node sent (injections/duplicates)
+  /// (sim::Phase); fabric pulses no node sent (injections/duplicates)
   /// land in the adversary bucket. On a clean attempt the array sums to
   /// `pulses` exactly; under loss-y churn it can exceed `pulses` by the
   /// dropped count (a dropped pulse was sent — and phase-attributed — but
   /// the fabric's conservation counter takes it back).
-  std::array<std::uint64_t, obs::kPhaseCount> phase_pulses{};
+  std::array<std::uint64_t, sim::kPhaseCount> phase_pulses{};
   sim::FaultTallies tallies;
   sim::RunReport report;
 };
@@ -111,7 +111,7 @@ struct ElectionReport {
   std::uint64_t socket_attempts = 0;   ///< attempts run on the socket backend
   /// Per-phase pulse attribution of the final attempt (same convention as
   /// AttemptResult::phase_pulses: sums to `pulses`).
-  std::array<std::uint64_t, obs::kPhaseCount> phase_pulses{};
+  std::array<std::uint64_t, sim::kPhaseCount> phase_pulses{};
 };
 
 /// Supervises election number `election` of the engine's slot: attempt →

@@ -14,6 +14,7 @@
 #include "sim/trace.hpp"
 #include "util/contracts.hpp"
 #include "util/ids.hpp"
+#include "util/json.hpp"
 
 namespace colex::obs {
 namespace {
@@ -72,6 +73,16 @@ TEST(JsonlRoundTrip, MetricsLineSurvives) {
   EXPECT_EQ(loaded.metrics_json, metrics.to_json());
 }
 
+TEST(JsonlRoundTrip, ControlCharactersInTheAlgorithmSurvive) {
+  TraceMeta meta;
+  meta.algorithm = "a\nb\tc";
+  meta.n = 1;
+  const std::string text = to_jsonl({}, meta);
+  EXPECT_EQ(count_occurrences(text, "\n"), 1u);  // still one meta line
+  std::istringstream in(text);
+  EXPECT_EQ(load_jsonl(in).meta.algorithm, "a\nb\tc");
+}
+
 TEST(JsonlLoad, RequiresMetaLine) {
   std::istringstream in(
       "{\"type\":\"event\",\"index\":0,\"kind\":\"send\",\"node\":0,"
@@ -93,6 +104,23 @@ TEST(JsonlLoad, SkipsUnknownLineTypes) {
   const LoadedTrace loaded = load_jsonl(in);
   EXPECT_EQ(loaded.meta.n, 1u);
   EXPECT_TRUE(loaded.events.empty());
+}
+
+TEST(JsonlLoad, NestedKeysDoNotShadowTopLevelOnes) {
+  std::istringstream in(
+      "{\"type\":\"meta\",\"format\":\"colex-trace-v1\","
+      "\"extra\":{\"n\":9},\"n\":3}\n");
+  EXPECT_EQ(load_jsonl(in).meta.n, 3u);
+}
+
+TEST(JsonlLoad, RejectsMalformedLines) {
+  for (const char* line :
+       {"{\"type\":\"meta\",\"format\":\"colex-trace-v1\",\"n\":3",
+        "{\"type\":\"meta\",\"format\":\"colex-trace-v1\",\"n\":-3}",
+        "{\"type\":\"meta\",\"format\":\"colex-trace-v1\"} trailing"}) {
+    std::istringstream in(std::string(line) + "\n");
+    EXPECT_THROW(load_jsonl(in), util::ContractViolation) << line;
+  }
 }
 
 // Chrome-trace shape on a hand-built 2-ring stream covering every kind.
@@ -179,6 +207,16 @@ TEST(ChromeTrace, UnknownShapeFallsBackToInstants) {
   EXPECT_NE(json.find("\"name\":\"deliver\""), std::string::npos);
   // Tracks were derived from the highest node mentioned.
   EXPECT_NE(json.find("\"name\":\"node 6\""), std::string::npos);
+}
+
+TEST(ChromeTrace, AlgorithmNameIsEscaped) {
+  TraceMeta meta;
+  meta.algorithm = "al\"g";
+  meta.n = 1;
+  const std::string json = to_chrome_trace({}, meta);
+  EXPECT_NO_THROW(util::json::Object{json});
+  EXPECT_NE(json.find("\"name\":\"colex ring (al\\\"g)\""),
+            std::string::npos);
 }
 
 // End-to-end acceptance path: an instrumented Algorithm 2 run on n=4 is

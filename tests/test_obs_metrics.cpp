@@ -178,5 +178,15 @@ TEST(Registry, JsonEscapesMetricNames) {
             "\"gauges\":{},\"histograms\":{}}");
 }
 
+TEST(Registry, JsonEscapesControlBytesInMetricNames) {
+  Registry reg;
+  reg.counter("x\ry\x01").inc(1);
+  const std::string json = reg.to_json();
+  for (const char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+  EXPECT_EQ(json,
+            "{\"counters\":{\"x\\u000dy\\u0001\":1},"
+            "\"gauges\":{},\"histograms\":{}}");
+}
+
 }  // namespace
 }  // namespace colex::obs

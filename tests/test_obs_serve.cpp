@@ -13,9 +13,9 @@
 #include "coro/run.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase.hpp"
 #include "obs/serve.hpp"
 #include "runtime/blocking_algs.hpp"
+#include "sim/types.hpp"
 #include "util/contracts.hpp"
 
 namespace colex::obs {
@@ -108,6 +108,17 @@ TEST(SnapshotReload, UnescapesNames) {
   reg.counter("a\"b\\c").inc(5);
   const Registry reloaded = registry_from_json(reg.to_json());
   EXPECT_EQ(reloaded.to_json(), reg.to_json());
+}
+
+TEST(SnapshotReload, ControlBytesInNamesRoundTrip) {
+  Registry reg;
+  reg.counter("x\ry\x01").inc(2);
+  const std::string json = reg.to_json();
+  for (const char c : json) EXPECT_GE(static_cast<unsigned char>(c), 0x20);
+  const Registry reloaded = registry_from_json(json);
+  ASSERT_EQ(reloaded.counters().size(), 1u);
+  EXPECT_EQ(reloaded.counters()[0].first, "x\ry\x01");
+  EXPECT_EQ(reloaded.counters()[0].second->value(), 2u);
 }
 
 TEST(SnapshotReload, RejectsMalformedInput) {
@@ -250,8 +261,8 @@ TEST(FlightRecorder, MergedTailCapsToTheMostRecent) {
 
 std::uint64_t phase_series_sum(obs::Registry& reg, const std::string& family) {
   std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    sum += reg.counter(labeled(family, "phase", phase_name(i))).value();
+  for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
+    sum += reg.counter(labeled(family, "phase", sim::phase_name(i))).value();
   }
   return sum;
 }

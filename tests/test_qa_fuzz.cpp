@@ -4,6 +4,7 @@
 // and the colex-repro-v1 round-trip contract.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "helpers.hpp"
@@ -171,6 +172,15 @@ TEST(FuzzRepro, TapeRoundTripPinsTheSchedule) {
   EXPECT_EQ(replayed.counters.sent, first.counters.sent);
   EXPECT_EQ(replayed.roles, first.roles);
   EXPECT_EQ(replayed.report.quiescent, first.report.quiescent);
+}
+
+TEST(FuzzRepro, CommittedReproRewritesByteIdentically) {
+  std::ifstream in(COLEX_TEST_DATA_DIR "/planted_bound_repro.jsonl");
+  ASSERT_TRUE(in.good());
+  std::stringstream file;
+  file << in.rdbuf();
+  std::stringstream ss(file.str());
+  EXPECT_EQ(to_repro(load_repro(ss)), file.str());
 }
 
 TEST(FuzzRepro, LoadRejectsGarbage) {

@@ -4,8 +4,14 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "obs/export.hpp"
+#include "obs/serve.hpp"
+#include "qa/repro.hpp"
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -256,6 +262,101 @@ TEST(Contracts, ExpectsThrowsWithLocation) {
     FAIL() << "should have thrown";
   } catch (const ContractViolation& e) {
     EXPECT_NE(std::string(e.what()).find("precondition"), std::string::npos);
+  }
+}
+
+// --- JSON codec ------------------------------------------------------------
+
+std::string escaped(const std::string& s) {
+  std::ostringstream os;
+  json::write_string(os, s);
+  return os.str();
+}
+
+bool has_raw_control_byte(const std::string& s) {
+  for (const char c : s) {
+    if (static_cast<unsigned char>(c) < 0x20) return true;
+  }
+  return false;
+}
+
+TEST(Json, EscapesOnlyQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(escaped("plain /é~"), "\"plain /é~\"");
+  EXPECT_EQ(escaped("q\"b\\n\nt\tr\r\x01\x1f"),
+            "\"q\\\"b\\\\n\\nt\\tr\\u000d\\u0001\\u001f\"");
+}
+
+TEST(Json, ObjectSeesOnlyTopLevelMembers) {
+  const json::Object obj(
+      R"( {"s":"a\"n\":1", "nested":{"n":9, "x":[1,{"n":8}]}, "n":3,)"
+      R"( "ids":[4, 5], "f":-2.5e1, "ok":true, "none":null} )");
+  EXPECT_EQ(obj.at<std::uint64_t>("n"), 3u);
+  EXPECT_EQ(obj.at<std::string>("s"), "a\"n\":1");
+  EXPECT_EQ(obj.raw("nested"), R"({"n":9, "x":[1,{"n":8}]})");
+  EXPECT_EQ(obj.at<std::vector<std::uint64_t>>("ids"),
+            (std::vector<std::uint64_t>{4, 5}));
+  EXPECT_EQ(obj.at<double>("f"), -25.0);
+  EXPECT_EQ(obj.members().size(), 7u);
+  std::string untouched = "kept";
+  EXPECT_FALSE(obj.get("missing", untouched));
+  EXPECT_EQ(untouched, "kept");
+  EXPECT_THROW(obj.at<std::string>("missing"), ContractViolation);
+  EXPECT_THROW(obj.at<std::uint64_t>("s"), ContractViolation);
+  EXPECT_THROW(obj.at<std::vector<bool>>("ids"), ContractViolation);
+}
+
+TEST(Json, RejectsMalformedInput) {
+  for (const char* text :
+       {"", "[]", "{", "{\"a\"}", "{\"a\":}", "{\"a\":1,}", "{\"a\":1} x",
+        "{\"a\":\"open}", "{\"a\":\"\\q\"}", "{\"a\":\"\\u12\"}",
+        "{\"a\":\"\\u00e9\"}", "{\"a\":nope}", "{\"a\":[1 2]}",
+        "{a:1}"}) {
+    EXPECT_THROW(json::Object{text}, ContractViolation) << text;
+  }
+  EXPECT_THROW(json::as<std::uint64_t>("18446744073709551616"),
+               ContractViolation);
+  EXPECT_THROW(json::as<bool>("2"), ContractViolation);
+}
+
+// Seeded property test over hostile strings: every byte value, with the
+// quote, the backslash and a key-like `"n":` spliced in. Each string must
+// escape to control-free text that reads back equal, and must round-trip
+// through every format that carries free text.
+TEST(Json, HostileStringsRoundTripThroughEveryFormat) {
+  Xoshiro256StarStar rng(20240507);
+  const std::vector<std::string> splices = {"\"", "\\", "\"n\":"};
+  for (int i = 0; i < 1000; ++i) {
+    std::string s;
+    const std::uint64_t length = rng.below(24);
+    for (std::uint64_t k = 0; k < length; ++k) {
+      if (rng.below(4) == 0) {
+        s += splices[rng.below(splices.size())];
+      } else {
+        s += static_cast<char>(rng.below(256));
+      }
+    }
+    const std::string text = escaped(s);
+    ASSERT_FALSE(has_raw_control_byte(text)) << i;
+    ASSERT_EQ(json::as<std::string>(text), s) << i;
+
+    qa::ReproFile repro;
+    repro.c.ids = {1};
+    repro.diagnostic = s;
+    std::istringstream repro_in(qa::to_repro(repro));
+    ASSERT_EQ(qa::load_repro(repro_in).diagnostic, s) << i;
+
+    obs::TraceMeta meta;
+    meta.algorithm = s;
+    meta.n = 1;
+    std::istringstream trace_in(obs::to_jsonl({}, meta));
+    ASSERT_EQ(obs::load_jsonl(trace_in).meta.algorithm, s) << i;
+
+    obs::Registry reg;
+    reg.counter(s).inc(1);
+    const std::string snapshot = reg.to_json();
+    ASSERT_FALSE(has_raw_control_byte(snapshot)) << i;
+    ASSERT_EQ(obs::registry_from_json(snapshot).counters().at(0).first, s)
+        << i;
   }
 }
 

@@ -378,77 +378,6 @@ void rule_t003(const std::vector<SourceFile>& files,
   }
 }
 
-// --- T004: Transport / PulsePort structural conformance ------------------
-
-void rule_t004(const std::vector<SourceFile>& files,
-               const ProjectIndex& project, const SymbolTable& symbols,
-               std::vector<Finding>& out) {
-  // class -> method name -> declared parameter counts (across the tree, so
-  // out-of-line definitions count).
-  std::map<std::string, std::map<std::string, std::set<int>>> methods;
-  for (const FunctionSymbol& sym : symbols.symbols) {
-    if (sym.owner.empty() || sym.name.empty()) continue;
-    methods[sym.owner][sym.name].insert(sym.param_count);
-  }
-  // Anchor each named class at its first definition.
-  struct Anchor {
-    std::string file;
-    int line = 0;
-  };
-  std::map<std::string, Anchor> anchors;
-  for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    for (const ClassDef& cls : project.files[fi].classes) {
-      if (cls.name.empty() || cls.body_end <= cls.body_begin) continue;
-      anchors.emplace(cls.name, Anchor{files[fi].path, cls.line});
-    }
-  }
-
-  using Spec = std::pair<const char*, int>;  // method name, param count
-  static const Spec kTransport[] = {
-      {"recv", 1}, {"send", 1}, {"wait", 0}, {"stopped", 0}, {"shutdown", 0}};
-  static const Spec kPulsePort[] = {{"recv", 1}, {"send", 1}, {"wait_any", 0}};
-
-  for (const auto& [cls, anchor] : anchors) {
-    const auto mit = methods.find(cls);
-    if (mit == methods.end()) continue;
-    auto has = [&mit](const Spec& spec) {
-      const auto nit = mit->second.find(spec.first);
-      return nit != mit->second.end() && nit->second.count(spec.second) != 0;
-    };
-    auto missing_list = [&has](const Spec* specs, std::size_t n) {
-      std::string miss;
-      for (std::size_t k = 0; k < n; ++k) {
-        if (has(specs[k])) continue;
-        if (!miss.empty()) miss += ", ";
-        miss += specs[k].first;
-        miss += specs[k].second == 0 ? "()" : "(port)";
-      }
-      return miss;
-    };
-    int transport_hits = 0;
-    for (const Spec& spec : kTransport) transport_hits += has(spec) ? 1 : 0;
-    if (transport_hits >= 3 && transport_hits < 5) {
-      add(out, "T004", anchor.file, anchor.line,
-          "'" + cls + "' implements " + std::to_string(transport_hits) +
-              " of 5 rt::Transport methods (missing: " +
-              missing_list(kTransport, 5) +
-              "): a drifted backend surface only fails when a template "
-              "instantiates it, which for a stub backend may be never — "
-              "complete the surface or rename the methods");
-      continue;  // one structural finding per class is enough
-    }
-    int pulse_hits = 0;
-    for (const Spec& spec : kPulsePort) pulse_hits += has(spec) ? 1 : 0;
-    if (has({"wait_any", 0}) && pulse_hits < 3) {
-      add(out, "T004", anchor.file, anchor.line,
-          "'" + cls + "' has wait_any() but not the full rt::PulsePort "
-          "surface (missing: " + missing_list(kPulsePort, 3) +
-              "): the coroutine transcriptions require all three — complete "
-              "the port or drop wait_any");
-    }
-  }
-}
-
 }  // namespace
 
 void run_concurrency_rules(const std::vector<SourceFile>& files,
@@ -460,7 +389,6 @@ void run_concurrency_rules(const std::vector<SourceFile>& files,
   rule_t001(files, members, out);
   rule_t002(files, project, symbols, graph, out);
   rule_t003(files, project, members, out);
-  rule_t004(files, project, symbols, out);
 }
 
 }  // namespace colex::lint

@@ -1,7 +1,6 @@
-// Concurrency-discipline pass (rules T001–T004) for the hand-rolled
+// Concurrency-discipline pass (rules T001–T003) for the hand-rolled
 // synchronization the substrates grew in PRs 6–9: SPSC channels, the
-// Chase-Lev deque, Dekker sleep/wake, the seqlock flight recorder, and the
-// Transport/PulsePort backend surface.
+// Chase-Lev deque, Dekker sleep/wake and the seqlock flight recorder.
 //
 //   T001  unpaired memory orders on a class-scope atomic member: a
 //         release store no acquire/seq_cst load ever observes (or an
@@ -18,13 +17,11 @@
 //         payload atomics of a class carrying a *version* atomic must
 //         bracket every payload store between two version stores (the
 //         odd/even protocol readers validate against).
-//   T004  rt::Transport / rt::PulsePort structural conformance: a class
-//         implementing most-but-not-all of either surface (matched by
-//         method name + parameter count) is a signature drift that
-//         templates only catch when instantiated — which for a backend
-//         stub may be never.
 //
-// All four run single-threaded in the driver's sequential phase: they need
+// The Transport/PulsePort backend surface needs no rule: each backend
+// static_asserts its conformance to the concept.
+//
+// All three run single-threaded in run_rules' sequential epilogue: they need
 // project-wide joins (use sites across files, call-graph reachability) and
 // are cheap next to the per-file scans.
 #pragma once

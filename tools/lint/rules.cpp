@@ -509,9 +509,6 @@ std::vector<RuleInfo> rule_catalog() {
       {"T003", "concurrency",
        "seqlock writer stores payload atomics without the odd/even version "
        "bracket (obs/flight protocol shape)"},
-      {"T004", "concurrency",
-       "partial rt::Transport / rt::PulsePort surface (method name + arity "
-       "match): signature drift a never-instantiated template won't catch"},
   };
 }
 

@@ -22,8 +22,7 @@
 //                           O003 taint into a send-family call
 //   T (concurrency)       — T001 unpaired atomic memory orders,
 //                           T002 blocking call reachable from a coroutine,
-//                           T003 seqlock writer protocol shape,
-//                           T004 Transport/PulsePort conformance drift
+//                           T003 seqlock writer protocol shape
 #pragma once
 
 #include <cstddef>
@@ -56,7 +55,7 @@ std::vector<RuleInfo> rule_catalog();
 /// (the driver applies allow markers) and sorted by (file, line, rule).
 /// `workers` fans the per-file scans (lexical + taint sinks) out over the
 /// sim/parallel.hpp pool; the symbol/call-graph build and the global rules
-/// (C001, T001–T004) stay single-threaded. The result is identical for any
+/// (C001, T001–T003) stay single-threaded. The result is identical for any
 /// worker count (per-file slots, sequential aggregation).
 std::vector<Finding> run_rules(const std::vector<SourceFile>& files,
                                const ProjectIndex& project,
