@@ -9,6 +9,9 @@
 // trajectory — commit them so regressions are diffable (EXPERIMENTS.md).
 #pragma once
 
+#include <sched.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -203,7 +206,18 @@ class Json {
   std::vector<Json> elements_;                         // array
 };
 
-/// The machine a measurement ran on: nproc, compiler and build type.
+/// CPUs this process may run on: its affinity mask, which can be smaller
+/// than the machine (std::thread::hardware_concurrency ignores it).
+inline std::size_t usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// The machine a measurement ran on: usable CPUs, compiler and build type.
 inline Json environment() {
 #if defined(__clang__)
   const std::string compiler = "clang " __clang_version__;
@@ -218,7 +232,7 @@ inline Json environment() {
   const std::string build_type = "unknown";
 #endif
   Json env = Json::object();
-  env.set("nproc", static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+  env.set("nproc", static_cast<std::uint64_t>(usable_cpus()))
       .set("compiler", compiler)
       .set("build_type", build_type);
   return env;
@@ -255,8 +269,10 @@ class JsonReport {
     results_.push_back(std::move(row));
   }
 
-  /// Writes BENCH_<ID>.json; returns the path written. Call once, last.
+  /// Writes BENCH_<ID>.json with the environment block; returns the path
+  /// written. Call once, last.
   std::string finish(double total_wall_seconds) {
+    root_.set_json("env", environment());
     root_.set("wall_seconds", total_wall_seconds);
     if (has_results_) {
       Json arr = Json::array();

@@ -208,7 +208,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   colex::bench::JsonReport report(
       "E10", "simulator micro-benchmarks: one row per google-benchmark run");
-  report.root().set_json("env", colex::bench::environment());
   for (const Row& row : reporter.rows) {
     colex::bench::Json json = colex::bench::Json::object();
     json.set("name", row.name).set("n", row.n).set("iterations",

@@ -10,22 +10,31 @@
 //    blows the per-size time budget. That last completed size is the
 //    baseline's max practical ring.
 //  * Coroutine sweep — the identical workload at n = 10^4, 10^5, 10^6.
-//  * The acceptance election — Algorithm 2, unique dense IDs, at n = 10^4
-//    (smoke) or n = 10^5 (full): n(2·IDmax+1) ≈ 2·10^10 pulses for the
-//    full run, completed in one process with the exact Theorem 1 count.
+//  * Worker sweep — Algorithm 2, unique dense IDs in ring order, at
+//    n = 10^4 once per worker count W: W ∈ {1, 2} (smoke) or W = 1..the
+//    usable CPUs, median of 3 (full). Each W records its seconds, pulses/s
+//    and the executor's resumes, wakeups, deferred pulses, yields, steals
+//    and worker parks.
+//  * The acceptance election (full mode) — Algorithm 2 at n = 10^5 with
+//    --workers: n(2·IDmax+1) ≈ 2·10^10 pulses, completed in one process
+//    with the exact Theorem 1 count.
 //
 // Gates (all recorded in BENCH_E16.json): the coroutine runtime reaches
-// ≥10× ThreadRing's max ring size (smoke: ≥2×), at ≥2× its nodes/sec, and
-// the Algorithm 2 election completes with the exact pulse count and one
-// leader. Peak RSS is sampled (getrusage ru_maxrss) after each phase;
-// ThreadRing runs first so its peak is unpolluted, and the coro phases
-// report the running process maximum (equal to their own peak whenever
-// they are the high-water mark).
+// ≥10× ThreadRing's max ring size (smoke: ≥2×), at ≥2× its nodes/sec;
+// every Algorithm 2 election completes with the exact pulse count and the
+// max-ID leader; and pulses/s does not decrease as W grows (smoke: W=2 is
+// not slower than W=1). With fewer than 2 usable CPUs the worker gate is
+// recorded as skipped. Peak RSS is sampled (getrusage ru_maxrss) after
+// each phase; ThreadRing runs first so its peak is unpolluted, and the
+// coro phases report the running process maximum (equal to their own peak
+// whenever they are the high-water mark).
 //
-// Flags: --smoke (CI-sized: sweep capped, Alg 2 at 10^4), --workers N
-// (executor workers, default 1), --json <dir> (redirect BENCH_E16.json).
+// Flags: --smoke (CI-sized: sweeps capped, no 10^5 election), --workers N
+// (executor workers for the Algorithm 1 sweep and the 10^5 election,
+// default 1), --json <dir> (redirect BENCH_E16.json).
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
@@ -146,6 +155,41 @@ SweepRow coro_sweep_run(std::size_t n, std::size_t workers,
   return row_from(n, r.completed, r.leader_count, r.pulses, timer.seconds());
 }
 
+/// One Algorithm 2 election on IDs 1..n in ring order. `exact` holds when
+/// it lands Theorem 1's n(2n+1) pulses with node n-1 as the only leader.
+struct Alg2Run {
+  std::size_t n = 0;
+  std::size_t workers = 0;
+  double seconds = 0.0;
+  bool exact = false;
+  std::uint64_t pulses = 0;
+  coro::ExecStats stats;
+
+  double pulses_per_sec() const {
+    return seconds > 0.0 ? static_cast<double>(pulses) / seconds : 0.0;
+  }
+};
+
+Alg2Run alg2_run(std::size_t n, std::size_t workers) {
+  std::vector<std::uint64_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 1);
+  coro::CoroRunOptions options;
+  options.workers = workers;
+  options.timeout_ms = 3'600'000;
+  bench::WallTimer timer;
+  const coro::CoroRunResult r =
+      coro::run_on_coro(ids, {}, rt::ThreadAlg::alg2, options);
+  Alg2Run run;
+  run.n = n;
+  run.workers = workers;
+  run.seconds = timer.seconds();
+  run.pulses = r.pulses;
+  run.stats = r.stats;
+  run.exact = r.completed && r.leader_count == 1 && r.leader == n - 1 &&
+              r.pulses == rt::pulse_bound(rt::ThreadAlg::alg2, n, n);
+  return run;
+}
+
 bench::Json json_row(const char* runtime, const SweepRow& row) {
   bench::Json j = bench::Json::object();
   j.set("runtime", runtime)
@@ -222,32 +266,71 @@ int main(int argc, char** argv) {
   }
   const double coro_peak_rss = peak_rss_mb();
 
-  // --- Phase 3: the acceptance election — Algorithm 2, unique dense IDs,
-  // exactly n(2·IDmax+1) pulses end to end in one process. --------------
-  const std::size_t alg2_n = smoke ? 10'000 : 100'000;
-  std::vector<std::uint64_t> alg2_ids(alg2_n);
-  std::iota(alg2_ids.begin(), alg2_ids.end(), 1);
-  const std::uint64_t alg2_expected =
-      static_cast<std::uint64_t>(alg2_n) *
-      (2 * static_cast<std::uint64_t>(alg2_n) + 1);
-  coro::CoroRunOptions alg2_options;
-  alg2_options.workers = workers;
-  alg2_options.timeout_ms = 3'600'000;
-  bench::WallTimer alg2_timer;
-  const coro::CoroRunResult alg2 =
-      coro::run_on_coro(alg2_ids, {}, rt::ThreadAlg::alg2, alg2_options);
-  const double alg2_seconds = alg2_timer.seconds();
-  const bool alg2_ok = alg2.completed && alg2.leader_count == 1 &&
-                       alg2.leader == alg2_n - 1 &&
-                       alg2.pulses == alg2_expected;
-  table.add_row({"coro-alg2", std::to_string(alg2_n),
-                 std::to_string(alg2.pulses),
-                 util::Table::fixed(alg2_seconds, 3),
-                 util::Table::fixed(static_cast<double>(alg2_n) / alg2_seconds, 0),
-                 util::Table::fixed(static_cast<double>(alg2.pulses) / alg2_seconds / 1e6, 2),
-                 alg2_ok ? "yes" : "NO"});
+  // --- Phase 3: worker sweep — Algorithm 2 at n = 10^4 per worker count,
+  // the median of `repeats` runs by wall time. -------------------------
+  constexpr std::size_t kSweepN = 10'000;
+  const std::size_t cpus = bench::usable_cpus();
+  const std::size_t max_workers = smoke ? 2 : cpus;
+  const std::size_t repeats = smoke ? 1 : 3;
+  std::vector<Alg2Run> worker_rows;
+  std::vector<std::pair<double, double>> worker_spread;  // seconds min, max
+  bool alg2_ok = true;
+  for (std::size_t w = 1; w <= max_workers; ++w) {
+    std::vector<Alg2Run> runs;
+    for (std::size_t k = 0; k < repeats; ++k) {
+      runs.push_back(alg2_run(kSweepN, w));
+      alg2_ok = alg2_ok && runs.back().exact;
+    }
+    std::sort(runs.begin(), runs.end(),
+              [](const Alg2Run& a, const Alg2Run& b) {
+                return a.seconds < b.seconds;
+              });
+    worker_rows.push_back(runs[runs.size() / 2]);
+    worker_spread.emplace_back(runs.front().seconds, runs.back().seconds);
+  }
+  util::Table sweep_table({"W", "seconds", "Mpulses/s", "resumes", "wakeups",
+                           "deferred", "yields", "steals", "parks", "exact"});
+  for (const Alg2Run& run : worker_rows) {
+    const coro::ExecStats& st = run.stats;
+    sweep_table.add_row(
+        {std::to_string(run.workers), util::Table::fixed(run.seconds, 3),
+         util::Table::fixed(run.pulses_per_sec() / 1e6, 2),
+         std::to_string(st.resumes), std::to_string(st.wakeups),
+         std::to_string(st.deferred), std::to_string(st.yields),
+         std::to_string(st.steals), std::to_string(st.parks),
+         run.exact ? "yes" : "NO"});
+  }
+  // More workers must never lower the pulse rate. One usable CPU cannot
+  // tell: the workers would time-slice a single core.
+  const bool workers_skipped = cpus < 2;
+  bool workers_ok = true;
+  for (std::size_t i = 1; i < worker_rows.size(); ++i) {
+    workers_ok = workers_ok && worker_rows[i].pulses_per_sec() >=
+                                   worker_rows[i - 1].pulses_per_sec();
+  }
+  workers_ok = workers_ok || workers_skipped;
+
+  // --- Phase 4 (full mode): the acceptance election — Algorithm 2 at
+  // n = 10^5, exactly n(2·IDmax+1) pulses end to end in one process. ----
+  Alg2Run alg2;
+  if (!smoke) {
+    alg2 = alg2_run(100'000, workers);
+    alg2_ok = alg2_ok && alg2.exact;
+    table.add_row({"coro-alg2", std::to_string(alg2.n),
+                   std::to_string(alg2.pulses),
+                   util::Table::fixed(alg2.seconds, 3),
+                   util::Table::fixed(
+                       static_cast<double>(alg2.n) / alg2.seconds, 0),
+                   util::Table::fixed(alg2.pulses_per_sec() / 1e6, 2),
+                   alg2.exact ? "yes" : "NO"});
+  }
   const double final_peak_rss = peak_rss_mb();
   table.print(std::cout);
+  std::cout << "\nAlgorithm 2 worker sweep, n=" << kSweepN << ", "
+            << (repeats > 1 ? "median of " + std::to_string(repeats) + " runs"
+                            : std::string("one run"))
+            << " per W (" << cpus << " usable CPUs):\n";
+  sweep_table.print(std::cout);
 
   // --- Gates. ----------------------------------------------------------
   const double capacity_factor =
@@ -275,28 +358,45 @@ int main(int argc, char** argv) {
             << "capacity factor: " << util::Table::fixed(capacity_factor, 1)
             << "x (gate >= " << required_capacity << "x), nodes/sec factor: "
             << util::Table::fixed(speed_factor, 1) << "x (gate >= 2x)\n"
-            << "alg2 n=" << alg2_n << ": "
-            << (alg2_ok ? "completed exactly" : "FAILED") << " ("
-            << alg2.pulses << " pulses, "
-            << util::Table::fixed(alg2_seconds, 1) << "s)\n";
+            << "alg2 elections: " << (alg2_ok ? "all exact" : "FAILED")
+            << "\n"
+            << "worker gate (pulses/s non-decreasing in W): "
+            << (workers_skipped ? "skipped, fewer than 2 usable CPUs"
+                                : (workers_ok ? "ok" : "FAILED"))
+            << "\n";
 
   for (const SweepRow& row : tr_rows) report.add_result(json_row("threadring", row));
   for (const SweepRow& row : coro_rows) report.add_result(json_row("coro", row));
-  bench::Json alg2_row = bench::Json::object();
-  alg2_row.set("runtime", "coro")
-      .set("algorithm", "alg2")
-      .set("n", static_cast<std::uint64_t>(alg2_n))
-      .set("completed", alg2.completed)
-      .set("exact", alg2_ok)
-      .set("pulses", alg2.pulses)
-      .set("expected_pulses", alg2_expected)
-      .set("seconds", alg2_seconds)
-      .set("pulses_per_sec", static_cast<double>(alg2.pulses) / alg2_seconds)
-      .set("steals", alg2.stats.steals)
-      .set("parks", alg2.stats.parks)
-      .set("yields", alg2.stats.yields);
-  report.add_result(std::move(alg2_row));
+  auto alg2_json = [](const Alg2Run& run) {
+    bench::Json j = bench::Json::object();
+    j.set("runtime", "coro")
+        .set("algorithm", "alg2")
+        .set("n", static_cast<std::uint64_t>(run.n))
+        .set("workers", static_cast<std::uint64_t>(run.workers))
+        .set("exact", run.exact)
+        .set("pulses", run.pulses)
+        .set("seconds", run.seconds)
+        .set("pulses_per_sec", run.pulses_per_sec())
+        .set("resumes", run.stats.resumes)
+        .set("wakeups", run.stats.wakeups)
+        .set("deferred", run.stats.deferred)
+        .set("yields", run.stats.yields)
+        .set("steals", run.stats.steals)
+        .set("parks", run.stats.parks);
+    return j;
+  };
+  if (!smoke) report.add_result(alg2_json(alg2));
+  bench::Json sweep = bench::Json::array();
+  for (std::size_t i = 0; i < worker_rows.size(); ++i) {
+    bench::Json row = alg2_json(worker_rows[i]);
+    row.set("repeats", static_cast<std::uint64_t>(repeats))
+        .set("seconds_min", worker_spread[i].first)
+        .set("seconds_max", worker_spread[i].second);
+    sweep.push(std::move(row));
+  }
 
+  const bool ok =
+      capacity_ok && speed_ok && sweeps_exact && alg2_ok && workers_ok;
   report.root()
       .set("smoke", smoke)
       .set("workers", static_cast<std::uint64_t>(workers))
@@ -310,14 +410,15 @@ int main(int argc, char** argv) {
       .set("capacity_factor", capacity_factor)
       .set("required_capacity_factor", required_capacity)
       .set("nodes_per_sec_factor", speed_factor)
-      .set("alg2_n", static_cast<std::uint64_t>(alg2_n))
       .set("alg2_ok", alg2_ok)
+      .set_json("worker_sweep", std::move(sweep))
       .set("gate_capacity_ok", capacity_ok)
       .set("gate_speed_ok", speed_ok)
-      .set("gate_ok", capacity_ok && speed_ok && sweeps_exact && alg2_ok);
+      .set("gate_workers_skipped", workers_skipped)
+      .set("gate_workers_ok", workers_ok)
+      .set("gate_ok", ok);
   report.finish(total.seconds());
 
-  const bool ok = capacity_ok && speed_ok && sweeps_exact && alg2_ok;
   bench::verdict(
       ok,
       "the coroutine executor ran the same transcriptions at " +
@@ -325,6 +426,7 @@ int main(int argc, char** argv) {
           "x ThreadRing's max ring size and " +
           util::Table::fixed(speed_factor, 1) +
           "x its nodes/sec, every election landing the exact paper pulse "
-          "count with a unique max-ID leader");
+          "count with a unique max-ID leader, and more workers never "
+          "lowered the Algorithm 2 pulse rate");
   return ok ? 0 : 1;
 }

@@ -99,10 +99,11 @@ run_soak_smoke() {
 }
 
 # Coroutine-runtime smoke: bench_e16_coro --smoke runs a 10^4-node election
-# on the coroutine executor next to a ThreadRing capacity sweep and writes
-# BENCH_E16.json; the gates checked on the artifact are >=2x ThreadRing's
-# max ring size AND >=2x its nodes/sec, with every election landing the
-# exact paper pulse count.
+# on the coroutine executor with 1 and with 2 workers next to a ThreadRing
+# capacity sweep and writes BENCH_E16.json; the gates checked on the
+# artifact are >=2x ThreadRing's max ring size AND >=2x its nodes/sec,
+# 2 workers no slower than 1, with every election landing the exact paper
+# pulse count.
 run_coro_smoke() {
   local dir="$1" label="$2"
   echo "==> [$label] coro smoke: bench_e16_coro --smoke"
@@ -110,6 +111,7 @@ run_coro_smoke() {
   (cd "$dir" && ./bench/bench_e16_coro --smoke)
   grep -q '"gate_speed_ok": true' "$dir/BENCH_E16.json"
   grep -q '"gate_capacity_ok": true' "$dir/BENCH_E16.json"
+  grep -q '"gate_workers_ok": true' "$dir/BENCH_E16.json"
   grep -q '"gate_ok": true' "$dir/BENCH_E16.json"
 }
 

@@ -106,12 +106,13 @@ class WorkDeque {
   std::int64_t mask_;
 };
 
-/// Owner-only FIFO of node indices for cooperative yields (wait_any with
-/// pulses pending). Strictly single-threaded — only the owning worker ever
-/// touches it — so no atomics. FIFO order is load-bearing: a yielded node
-/// must requeue *behind* every other ready node, or a node polling the
-/// wrong port (Algorithm 2's initiated wait) would be re-popped immediately
-/// and spin the worker without ever scheduling the neighbor it waits on.
+/// Owner-only FIFO of node indices for cooperative yields (wait_any with a
+/// wanted pulse pending; see coro/executor.hpp). Strictly single-threaded —
+/// only the owning worker ever touches it — so no atomics. FIFO order is
+/// load-bearing: a yielded node must requeue *behind* every other ready
+/// node, or a node that waits without reading the pulses it holds would be
+/// re-popped immediately and spin the worker without ever scheduling
+/// anyone else.
 class YieldQueue {
  public:
   /// `capacity` = ring size: a node is in at most one yield queue (yield is

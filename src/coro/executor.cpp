@@ -57,20 +57,19 @@ void Executor::signal_stop() {
 void Executor::run_node(ExecContext& ctx, std::uint32_t v) {
   auto& nd = nodes_[v];
   nd.state.store(NodeState::running, std::memory_order_seq_cst);
+  ctx.suspended = false;
   nd.handle.resume();
-  ctx.stats->resumes.store(
-      ctx.stats->resumes.load(std::memory_order_relaxed) + 1,
-      std::memory_order_relaxed);
-  if (nd.handle.done()) {
-    nd.state.store(NodeState::done, std::memory_order_seq_cst);
-    if (done_count_.fetch_add(1, std::memory_order_seq_cst) + 1 ==
-        nodes_.size()) {
-      flight_record(ctx.index, "all-done", nodes_.size());
-      signal_stop();  // natural termination: every node returned (Alg 2)
-    }
+  bump(ctx.stats->resumes);
+  // Suspended in wait_any: the node published PARKED or READY, so another
+  // worker may already be resuming (or have finished) the frame.
+  if (ctx.suspended) return;
+  COLEX_ASSERT(nd.handle.done());
+  nd.state.store(NodeState::done, std::memory_order_seq_cst);
+  if (done_count_.fetch_add(1, std::memory_order_seq_cst) + 1 ==
+      nodes_.size()) {
+    flight_record(ctx.index, "all-done", nodes_.size());
+    signal_stop();  // natural termination: every node returned (Alg 2)
   }
-  // Otherwise the coroutine parked itself (state PARKED), or a producer
-  // already re-readied it and owns its next resume.
 }
 
 void Executor::park_worker(ExecContext& ctx) {
@@ -102,8 +101,7 @@ void Executor::park_worker(ExecContext& ctx) {
     // that terminated mid-delivery race (Alg 2 tail) or a genuine stall —
     // the done==n path or the watchdog decides; we just go to sleep.
   }
-  ctx.stats->parks.store(ctx.stats->parks.load(std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
+  bump(ctx.stats->parks);
   flight_record(ctx.index, "park",
                 idle_workers_.load(std::memory_order_seq_cst),
                 done_count_.load(std::memory_order_seq_cst));
@@ -139,9 +137,7 @@ void Executor::worker_main(std::size_t w) {
     for (std::size_t k = 1; k < worker_count_; ++k) {
       if (deques_[(w + k) % worker_count_]->steal(v)) {
         ready_count_.fetch_sub(1, std::memory_order_seq_cst);
-        ctx.stats->steals.store(
-            ctx.stats->steals.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
+        bump(ctx.stats->steals);
         run_node(ctx, v);
         stole = true;
         break;
@@ -254,6 +250,7 @@ bool Executor::run() {
       r.counter("coro.parks").inc(s.parks.load());
       r.counter("coro.wakeups").inc(s.wakeups.load());
       r.counter("coro.batched_wakeups").inc(s.batched.load());
+      r.counter("coro.deferred").inc(s.deferred.load());
       r.counter("coro.yields").inc(s.yields.load());
       r.counter("coro." + who + ".resumes").inc(s.resumes.load());
       r.counter("coro." + who + ".steals").inc(s.steals.load());
@@ -296,10 +293,29 @@ ExecStats Executor::stats() const {
   out.parks = sum(&WorkerStats::parks);
   out.wakeups = sum(&WorkerStats::wakeups);
   out.batched = sum(&WorkerStats::batched);
+  out.deferred = sum(&WorkerStats::deferred);
   out.yields = sum(&WorkerStats::yields);
   out.workers = worker_count_;
   return out;
 }
+
+namespace {
+
+/// Stall-dump spelling of a node state; a parked node lists the ports it
+/// waits on, e.g. "parked[p0]".
+const char* state_name(NodeState s) {
+  switch (s) {
+    case NodeState::ready: return "ready";
+    case NodeState::running: return "running";
+    case NodeState::done: return "done";
+    case NodeState::parked_p0: return "parked[p0]";
+    case NodeState::parked_p1: return "parked[p1]";
+    case NodeState::parked: return "parked[p0,p1]";
+  }
+  return "?";
+}
+
+}  // namespace
 
 std::string Executor::dump() const {
   std::ostringstream os;
@@ -311,7 +327,7 @@ std::string Executor::dump() const {
      << " done=" << done_count_.load() << " resumes=" << s.resumes
      << " steals=" << s.steals << " parks=" << s.parks
      << " wakeups=" << s.wakeups << " batched=" << s.batched
-     << " yields=" << s.yields << "\n";
+     << " deferred=" << s.deferred << " yields=" << s.yields << "\n";
   // Per-node listing capped to the anomalies: at n=10^6 a full dump is
   // useless; what the post-mortem needs is which nodes still hold pulses
   // or are not parked.
@@ -322,14 +338,12 @@ std::string Executor::dump() const {
     const std::uint64_t p0 = nd.in[0].pending();
     const std::uint64_t p1 = nd.in[1].pending();
     const NodeState st = nd.state.load();
-    if (p0 == 0 && p1 == 0 && st == NodeState::parked) continue;
+    if (p0 == 0 && p1 == 0 && is_parked(st)) continue;
     ++anomalies;
     if (anomalies > kMaxListed) continue;
-    static constexpr const char* kStates[] = {"ready", "running", "parked",
-                                              "done"};
     const std::size_t ph = nd.phase.load(std::memory_order_relaxed);
     os << "  node " << v << ": pending[p0]=" << p0 << " pending[p1]=" << p1
-       << " state=" << kStates[static_cast<std::uint32_t>(st)]
+       << " state=" << state_name(st)
        << " phase=" << sim::phase_name(ph < sim::kPhaseCount ? ph : 0)
        << "\n";
   }

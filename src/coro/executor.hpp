@@ -10,33 +10,63 @@
 // deque, steals FIFO round-robin from the others, and parks on a condition
 // variable when the whole system has no ready work.
 //
+// Wanted ports
+// ------------
+// recv_pulse() records, in the node's `polled_empty` byte, every port whose
+// recv() came back empty since the node last waited. wait_any() takes that
+// set as the node's *wanted* ports (both ports if it polled none) and
+// clears it. Every transcription waits only after a loop iteration whose
+// recv() calls all came back empty; with its counters unchanged, its next
+// iteration would make the same calls, so only a pulse on a wanted port can
+// change what the node does. A pulse on any other port (Algorithm 2 reads
+// CCW only once rho_cw >= ID, and its initiated wait reads CCW only) waits
+// in its channel until the node polls that port of its own accord.
+//
 // Sleep/wake protocol (per node, Dekker-style, all seq_cst)
 // ---------------------------------------------------------
 //   consumer (the node, in await_suspend):   producer (a neighbor's send):
-//     state <- PARKED                          channel.produced += 1
-//     re-check channels / stop                 if CAS(state: PARKED->READY):
-//     if pulse or stop:                            push node to own deque
-//       if CAS(state: PARKED->RUNNING):        // CAS failed: node is READY/
-//         resume inline (return false)         // RUNNING/DONE; the pulse
-//     stay suspended (return true)             // rides an existing wakeup
+//     state <- PARKED(wanted)                  channel[q].produced += 1
+//     re-check wanted channels / stop          s <- state
+//     if pulse or stop:                        if s is PARKED(w), q in w,
+//       if CAS(PARKED(wanted)->RUNNING):          and CAS(s->READY):
+//         resume inline (return false)            push node to own deque
+//     stay suspended (return true)             // else the pulse rides an
+//                                              // existing wakeup (READY/
+//                                              // RUNNING: batched), waits
+//                                              // for a later poll (PARKED
+//                                              // on other ports: deferred)
+//                                              // or is swallowed (DONE)
 //
 // seq_cst makes the two stores and two loads a Dekker pair: either the
-// consumer's re-check sees the new pulse, or the producer's CAS sees
-// PARKED — a pulse can never slip between the consumer's last empty poll
-// and its suspension (no lost wakeup). The CAS claims the wakeup exactly
-// once, so a node is never double-resumed; pulses that arrive while the
-// node is already READY coalesce into the pending wakeup (batched wakeups
-// — counted, and harmless to the fault model because pulses are fungible:
-// consuming k batched pulses one recv() at a time is indistinguishable
-// from k separate wakeups).
+// consumer's re-check sees the new pulse, or the producer's load sees
+// PARKED(wanted) — a pulse on a wanted port can never slip between the
+// consumer's last empty poll and its suspension (no lost wakeup). The CAS
+// claims the wakeup exactly once, so a node is never double-resumed;
+// pulses that arrive while the node is already READY coalesce into the
+// pending wakeup (batched wakeups — counted, and harmless to the fault
+// model because pulses are fungible: consuming k batched pulses one recv()
+// at a time is indistinguishable from k separate wakeups). Every send is
+// counted exactly once: sent == wakeups + batched + deferred + swallowed.
 //
-// A node that calls wait_any() while pulses ARE pending does not park — it
-// YIELDS: suspends and requeues itself FIFO on the calling worker. The
-// algorithms poll one port at a time, so a pending pulse on the other port
-// (Algorithm 2's initiated wait) would otherwise spin the worker inside a
-// single resume forever, starving the very neighbor that owes the awaited
-// pulse. Yielded nodes count toward ready_count_, so quiescence detection
-// is untouched.
+// Yields
+// ------
+// A node that calls wait_any() while a wanted port already holds a pulse
+// does not park — it YIELDS: suspends and requeues itself FIFO on the
+// calling worker, so every other ready node gets a turn first. That
+// happens when a pulse landed after the node's empty poll, and for a node
+// that polled no port at all while pulses are pending (a node that never
+// reads, such as the watchdog test's deaf node, would otherwise spin the
+// worker inside a single resume forever). Yielded nodes count toward
+// ready_count_, so quiescence detection is untouched.
+//
+// Frame ownership
+// ---------------
+// Once await_suspend publishes a state (PARKED or READY), another worker
+// may resume the frame, or the node may finish there. await_suspend
+// therefore marks the running thread's ExecContext before it publishes and
+// clears the mark if it reclaims its own wakeup; run_node touches the frame
+// (handle.done(), the DONE store) only when the coroutine returned without
+// leaving the mark, that is, when it ran to co_return.
 //
 // Quiescence (counter-based, worker-side)
 // ---------------------------------------
@@ -100,7 +130,8 @@ struct ExecStats {
   std::uint64_t parks = 0;      ///< worker condvar parks
   std::uint64_t wakeups = 0;    ///< PARKED->READY transitions claimed
   std::uint64_t batched = 0;    ///< pulses coalesced into a pending wakeup
-  std::uint64_t yields = 0;     ///< wait_any with pulses pending (requeue)
+  std::uint64_t deferred = 0;   ///< pulses to a node parked on other ports
+  std::uint64_t yields = 0;     ///< wait_any with wanted pulses pending
   std::size_t workers = 0;
 };
 
@@ -150,45 +181,47 @@ class Executor {
   // --- node-side operations (called from coroutine bodies) --------------
 
   bool recv_pulse(std::uint32_t v, sim::Port p) {
-    auto& ch = nodes_[v].in[sim::index(p)];
-    if (!ch.try_consume()) return false;
-    current_->stats->consumed.store(
-        current_->stats->consumed.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
+    auto& nd = nodes_[v];
+    if (!nd.in[sim::index(p)].try_consume()) {
+      nd.polled_empty |= static_cast<PortMask>(1u << sim::index(p));
+      return false;
+    }
+    bump(current_->stats->consumed);
     return true;
   }
 
   void send_pulse(std::uint32_t v, sim::Port p) {
     auto& src = nodes_[v];
     const std::uint32_t to = src.peer[sim::index(p)];
+    const std::uint8_t port = src.peer_port[sim::index(p)];
     auto& dst = nodes_[to];
-    dst.in[src.peer_port[sim::index(p)]].produce();  // seq_cst deposit
+    dst.in[port].produce();  // seq_cst deposit
     auto& stats = *current_->stats;
-    stats.sent.store(stats.sent.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-    NodeState expected = NodeState::parked;
-    if (dst.state.compare_exchange_strong(expected, NodeState::ready,
+    bump(stats.sent);
+    NodeState seen = dst.state.load(std::memory_order_seq_cst);
+    if ((wanted_ports(seen) & static_cast<PortMask>(1u << port)) != 0 &&
+        dst.state.compare_exchange_strong(seen, NodeState::ready,
                                           std::memory_order_seq_cst,
                                           std::memory_order_seq_cst)) {
       // We own the wakeup: exactly one push per PARKED->READY transition.
       ready_count_.fetch_add(1, std::memory_order_seq_cst);
       current_->deque->push(to);
-      stats.wakeups.store(stats.wakeups.load(std::memory_order_relaxed) + 1,
-                          std::memory_order_relaxed);
+      bump(stats.wakeups);
       if (idle_workers_.load(std::memory_order_seq_cst) != 0) {
         wake_one_worker();
       }
-    } else if (expected == NodeState::done) {
+    } else if (seen == NodeState::done) {
       // Swallowed (receiver terminated): total_consumed() counts these so
       // conservation-based quiescence stays sound — mirror of ThreadRing's
       // crashed-node convention.
-      stats.swallowed.store(
-          stats.swallowed.load(std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
+      bump(stats.swallowed);
+    } else if (is_parked(seen)) {
+      // Parked on the other port only: the pulse waits in its channel
+      // until the node polls this port of its own accord.
+      bump(stats.deferred);
     } else {
       // READY or RUNNING: the pulse rides the receiver's existing wakeup.
-      stats.batched.store(stats.batched.load(std::memory_order_relaxed) + 1,
-                          std::memory_order_relaxed);
+      bump(stats.batched);
     }
   }
 
@@ -205,25 +238,17 @@ class Executor {
   const obs::FlightRecorder* flight() const { return flight_.get(); }
 
   bool stopping() const { return stop_.load(std::memory_order_seq_cst); }
-  bool node_ready_check(std::uint32_t v) const {
-    return nodes_[v].has_pending() || stopping();
-  }
 
   /// The awaitable behind CoroIo::wait_any() — see the protocol in the
   /// file header. await_suspend copies its members to locals before any
   /// state publication: the moment a store lands, another thread may resume
   /// (and even finish) the coroutine, destroying this awaiter with it.
   ///
-  /// Two suspension flavors:
-  ///  * channels empty  -> PARK (Dekker protocol; a producer resumes us)
-  ///  * pulses pending  -> YIELD (requeue FIFO on the calling worker).
-  /// The yield path exists because the algorithms poll one port at a time:
-  /// Algorithm 2's initiated wait loops `recv_ccw / wait_any` while a CW
-  /// pulse may sit unconsumed. On preemptive ThreadRing that busy-wait is
-  /// harmless; on a cooperative executor, resuming inline would spin the
-  /// worker forever without ever scheduling the neighbor that owes the
-  /// CCW pulse. Yielding keeps every ready node running in FIFO turns, so
-  /// the fabric always makes global progress.
+  /// Two suspension flavors, both over the node's wanted ports:
+  ///  * wanted channels empty    -> PARK (Dekker protocol; a producer's
+  ///                                pulse on a wanted port resumes us)
+  ///  * a wanted pulse pending   -> YIELD (requeue FIFO on the calling
+  ///                                worker, behind every other ready node).
   struct WaitAnyAwaiter {
     Executor* ex;
     std::uint32_t v;
@@ -235,25 +260,29 @@ class Executor {
       Executor* const e = ex;  // frame (and *this) may die after a store
       const std::uint32_t self = v;
       auto& nd = e->nodes_[self];
-      if (nd.has_pending()) {
+      ExecContext& ctx = *current_;
+      const PortMask wanted =
+          nd.polled_empty != 0 ? nd.polled_empty : kBothPorts;
+      nd.polled_empty = 0;
+      ctx.suspended = true;  // run_node must not touch the frame any more
+      if (nd.has_pending(wanted)) {
         // Cooperative yield. We are the running node on this worker, so the
         // yield queue is ours; producers never touch READY nodes (their CAS
         // is PARKED->READY only), so the frame stays ours until we return.
-        ExecContext& ctx = *current_;
-        ctx.stats->yields.store(
-            ctx.stats->yields.load(std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
+        bump(ctx.stats->yields);
         nd.state.store(NodeState::ready, std::memory_order_seq_cst);
         e->ready_count_.fetch_add(1, std::memory_order_seq_cst);
         ctx.yields->push(self);
         return true;
       }
-      nd.state.store(NodeState::parked, std::memory_order_seq_cst);
-      if (e->node_ready_check(self)) {
-        NodeState expected = NodeState::parked;
+      const NodeState parked = parked_on(wanted);
+      nd.state.store(parked, std::memory_order_seq_cst);
+      if (nd.has_pending(wanted) || e->stopping()) {
+        NodeState expected = parked;
         if (nd.state.compare_exchange_strong(expected, NodeState::running,
                                              std::memory_order_seq_cst,
                                              std::memory_order_seq_cst)) {
+          ctx.suspended = false;
           return false;  // reclaimed our own wakeup: resume inline
         }
         // A producer won the CAS and pushed us to a deque; resuming inline
@@ -285,18 +314,27 @@ class Executor {
     std::atomic<std::uint64_t> parks{0};
     std::atomic<std::uint64_t> wakeups{0};
     std::atomic<std::uint64_t> batched{0};
+    std::atomic<std::uint64_t> deferred{0};
     std::atomic<std::uint64_t> yields{0};
   };
+
+  /// Adds one to a counter only the calling thread writes.
+  static void bump(std::atomic<std::uint64_t>& counter) {
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+  }
 
   /// Thread-local execution context: which deque send_pulse() pushes
   /// wakeups to, which FIFO wait_any yields requeue on, and which stats
   /// slot the thread owns. Workers install one on entry; the driver
-  /// installs its own for the post-stop drain.
+  /// installs its own for the post-stop drain. `suspended` is set by
+  /// wait_any once the running node may belong to another thread.
   struct ExecContext {
     WorkerStats* stats;
     WorkDeque* deque;
     YieldQueue* yields;
     std::size_t index;
+    bool suspended = false;
   };
   static thread_local ExecContext* current_;
 

@@ -24,18 +24,46 @@
 
 namespace colex::coro {
 
-/// Scheduler state of a node coroutine. Transitions:
+/// Bit set of a node's two ports: bit i is port label i.
+using PortMask = std::uint8_t;
+inline constexpr PortMask kBothPorts = 0b11;
+
+/// Scheduler state of a node coroutine. A parked state names the ports
+/// whose pulses may wake the node (its low two bits). Transitions:
 ///   ready -> running        (a worker popped it and resumes it)
-///   running -> parked       (wait_any found both channels empty)
+///   running -> parked*      (wait_any found its wanted channels empty)
 ///   running -> done         (the coroutine returned)
-///   parked -> ready         (a producer's CAS claimed the wakeup; exactly
-///                            the claimant pushes the node to a deque)
-///   parked -> running       (the parking node reclaimed itself: a pulse
-///                            landed between its empty poll and the CAS)
-/// `parked -> ready` is the only cross-thread transition and is a CAS, so
+///   parked* -> ready        (a producer's CAS claimed the wakeup for a
+///                            pulse on a wanted port; exactly the claimant
+///                            pushes the node to a deque)
+///   parked* -> running      (the parking node reclaimed itself: a pulse
+///                            landed on a wanted port between its empty
+///                            poll and the CAS)
+/// `parked* -> ready` is the only cross-thread transition and is a CAS, so
 /// a wakeup is claimed exactly once no matter how many pulses race in —
 /// later pulses find READY and coalesce into the pending wakeup (batching).
-enum class NodeState : std::uint32_t { ready = 0, running, parked, done };
+enum class NodeState : std::uint32_t {
+  ready = 0,
+  running = 1,
+  done = 2,
+  parked_p0 = 4 | 0b01,  ///< wakes only for a pulse on p0
+  parked_p1 = 4 | 0b10,  ///< wakes only for a pulse on p1
+  parked = 4 | 0b11,     ///< wakes for a pulse on either port
+};
+
+/// The parked state that wakes for pulses on `wanted` (non-empty).
+constexpr NodeState parked_on(PortMask wanted) {
+  return static_cast<NodeState>(4 | wanted);
+}
+constexpr bool is_parked(NodeState s) {
+  return (static_cast<std::uint32_t>(s) & 4) != 0;
+}
+/// The ports a parked state waits on (0 for any other state).
+constexpr PortMask wanted_ports(NodeState s) {
+  return is_parked(s) ? static_cast<PortMask>(static_cast<std::uint32_t>(s) &
+                                              kBothPorts)
+                      : 0;
+}
 
 struct alignas(kCacheLine) CoroNode {
   PulseChannel in[2];  ///< incoming pulses, indexed by this node's port label
@@ -46,10 +74,17 @@ struct alignas(kCacheLine) CoroNode {
   /// coroutine at transitions — a relaxed store on the node's own line;
   /// read by stall dumps and the per-phase distribution gauges.
   std::atomic<std::uint8_t> phase{0};
+  /// Ports whose recv() came back empty since the node last waited. A plain
+  /// byte: only the thread running the node touches it, and the hand-off
+  /// to the next runner goes through the state word and a deque.
+  PortMask polled_empty = 0;
   std::coroutine_handle<> handle{};      ///< set once before the run starts
 
-  bool has_pending(std::memory_order order = std::memory_order_seq_cst) const {
-    return in[0].pending(order) != 0 || in[1].pending(order) != 0;
+  /// True iff a pulse is pending on one of the ports in `ports` (seq_cst
+  /// loads, as the sleep/wake protocol's re-check needs).
+  bool has_pending(PortMask ports) const {
+    return ((ports & 0b01) != 0 && in[0].pending() != 0) ||
+           ((ports & 0b10) != 0 && in[1].pending() != 0);
   }
 };
 

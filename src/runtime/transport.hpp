@@ -59,6 +59,13 @@ concept Transport = requires(T t, sim::Port p) {
 /// stopped the run, true otherwise. True does NOT promise a pulse —
 /// wakeups may be spurious, so transcriptions re-poll recv() and wait
 /// again.
+///
+/// wait_any() may sleep until a pulse arrives on a port whose recv() came
+/// back empty since the node's last wait, or on either port if none did
+/// (the coroutine executor does exactly this). A transcription therefore
+/// waits only after a loop iteration whose recv() calls all came back
+/// empty: a pulse on a port it has not polled since its last wait need not
+/// wake it.
 template <class Io>
 concept PulsePort = requires(Io io, sim::Port p) {
   { io.recv(p) } -> std::convertible_to<bool>;

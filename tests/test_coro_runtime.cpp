@@ -6,7 +6,9 @@
 // get direct unit and race coverage, which is what the TSan CI stage runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -323,6 +325,7 @@ TEST(CoroExecutor, SingleWorkerRunsAreDeterministic) {
   EXPECT_EQ(a.stats.resumes, b.stats.resumes);
   EXPECT_EQ(a.stats.wakeups, b.stats.wakeups);
   EXPECT_EQ(a.stats.batched, b.stats.batched);
+  EXPECT_EQ(a.stats.deferred, b.stats.deferred);
   EXPECT_EQ(a.stats.yields, b.stats.yields);
   ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
   for (sim::NodeId v = 0; v < ids.size(); ++v) {
@@ -357,15 +360,27 @@ TEST(CoroExecutor, AgreesWithSimulatorAndThreadRing) {
 }
 
 template <rt::PulsePort Io>
-rt::ElectionTask pulse_once_then_wait(Io io) {
+rt::ElectionTask pulse_once_then_wait(Io io, sim::Port p) {
   rt::BlockingOutcome out;
-  io.send(co::kCwPort);
+  io.send(p);
   for (;;) {
     if (!co_await io.wait_any()) {
       out.stopped = true;
       co_return out;
     }
   }
+}
+
+template <rt::PulsePort Io>
+rt::ElectionTask reads_only(Io io, sim::Port p) {
+  rt::BlockingOutcome out;
+  while (!io.recv(p)) {  // never looks at the other port
+    if (!co_await io.wait_any()) {
+      out.stopped = true;
+      co_return out;
+    }
+  }
+  co_return out;
 }
 
 template <rt::PulsePort Io>
@@ -385,7 +400,7 @@ TEST(CoroExecutor, WatchdogFiresOnUndeliveredPulse) {
   // yielding on its pending-but-unread pulse. The watchdog must abort with
   // a stall dump instead of hanging.
   Executor ex(2, {}, ExecutorOptions{1, 300, nullptr});
-  auto t0 = pulse_once_then_wait(ex.io(0));
+  auto t0 = pulse_once_then_wait(ex.io(0), co::kCwPort);
   auto t1 = deaf_node(ex.io(1));
   ex.bind(0, t0.handle());
   ex.bind(1, t1.handle());
@@ -396,6 +411,92 @@ TEST(CoroExecutor, WatchdogFiresOnUndeliveredPulse) {
   EXPECT_TRUE(t0.outcome().stopped);
   EXPECT_TRUE(t1.outcome().stopped);
   EXPECT_GT(ex.stats().yields, 0u);  // the deaf node spins via the yield path
+}
+
+TEST(CoroExecutor, ParksOnThePolledPortWhileTheOtherHoldsAPulse) {
+  // Node 1 reads only its p0; node 0's one pulse lands on node 1's p1. Node
+  // 1 must park on p0 rather than yield on the pulse it never reads: one
+  // resume per node, no yields, and the watchdog reports the stall.
+  Executor ex(2, {}, ExecutorOptions{1, 300, nullptr});
+  auto t0 = pulse_once_then_wait(ex.io(0), sim::Port::p0);  // node 1's p1
+  auto t1 = reads_only(ex.io(1), sim::Port::p0);
+  ex.bind(0, t0.handle());
+  ex.bind(1, t1.handle());
+  EXPECT_FALSE(ex.run());
+  EXPECT_TRUE(ex.timed_out());
+  const ExecStats s = ex.stats();
+  EXPECT_EQ(s.yields, 0u);
+  EXPECT_EQ(s.resumes, 2u);
+  EXPECT_EQ(s.deferred, 1u);
+  EXPECT_EQ(s.wakeups, 0u);
+  EXPECT_NE(ex.stall_dump().find("node 1: pending[p0]=0 pending[p1]=1 "
+                                 "state=parked[p0]"),
+            std::string::npos)
+      << ex.stall_dump();
+  EXPECT_TRUE(t1.outcome().stopped);
+}
+
+constexpr rt::ThreadAlg kAllAlgs[] = {
+    rt::ThreadAlg::alg1, rt::ThreadAlg::alg2, rt::ThreadAlg::alg3_doubled,
+    rt::ThreadAlg::alg3_improved};
+
+/// Runs `alg` on `ids` with `workers` workers; Algorithm 3 gets `flips`,
+/// the oriented algorithms none.
+CoroRunResult elect(rt::ThreadAlg alg, const std::vector<std::uint64_t>& ids,
+                    const std::vector<bool>& flips, std::size_t workers) {
+  const bool oriented =
+      alg == rt::ThreadAlg::alg1 || alg == rt::ThreadAlg::alg2;
+  return run_on_coro(ids, oriented ? std::vector<bool>{} : flips, alg,
+                     {workers, 30'000, nullptr});
+}
+
+/// The paper's exact pulse count, the max-ID leader, and the executor's
+/// accounting: every send is one wakeup, batched, deferred or swallowed.
+void expect_exact(const CoroRunResult& r, rt::ThreadAlg alg,
+                  const std::vector<std::uint64_t>& ids) {
+  const auto max_it = std::max_element(ids.begin(), ids.end());
+  ASSERT_TRUE(r.completed) << r.stall_dump;
+  EXPECT_EQ(r.pulses, rt::pulse_bound(alg, ids.size(), *max_it));
+  EXPECT_EQ(r.leader_count, 1u);
+  ASSERT_TRUE(r.leader.has_value());
+  EXPECT_EQ(*r.leader, static_cast<sim::NodeId>(max_it - ids.begin()));
+  const ExecStats& s = r.stats;
+  EXPECT_EQ(s.sent, r.pulses);
+  EXPECT_EQ(s.sent, s.wakeups + s.batched + s.deferred + s.swallowed);
+}
+
+TEST(CoroExecutor, SingleWorkerNeverYields) {
+  // With one worker no pulse can land between a node's empty poll and its
+  // wait, so a node that waits with a pulse on its other port parks on the
+  // port it polled instead of yielding.
+  const auto ids = test::shuffled(test::dense_ids(23), 5);
+  const auto flips = test::random_flips(23, 5);
+  for (const rt::ThreadAlg alg : kAllAlgs) {
+    SCOPED_TRACE(static_cast<int>(alg));
+    const auto r = elect(alg, ids, flips, 1);
+    expect_exact(r, alg, ids);
+    EXPECT_EQ(r.stats.yields, 0u);
+  }
+}
+
+TEST(CoroExecutor, MultiWorkerStressStaysExact) {
+  // 400 small elections with cross-worker wakeups, steals and one-port
+  // parks: the TSan stage's main load on the sleep/wake protocol and on
+  // run_node's hand-off of finished frames. With SingleWorkerNeverYields
+  // this checks every send's accounting at W in {1, 2, 4}.
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    const std::size_t n = 1 + (seed * 13) % 64;
+    const auto ids = test::sparse_ids(n, 2 * n, seed);
+    const auto flips = test::random_flips(n, seed);
+    for (const std::size_t workers : {2u, 4u}) {
+      for (const rt::ThreadAlg alg : kAllAlgs) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " alg " +
+                     std::to_string(static_cast<int>(alg)) + " W=" +
+                     std::to_string(workers));
+        expect_exact(elect(alg, ids, flips, workers), alg, ids);
+      }
+    }
+  }
 }
 
 TEST(CoroExecutor, PublishesMergedMetrics) {
