@@ -9,9 +9,6 @@
 // trajectory — commit them so regressions are diffable (EXPERIMENTS.md).
 #pragma once
 
-#include <sched.h>
-
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -21,11 +18,11 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "util/cpus.hpp"
 #include "util/json.hpp"
 
 namespace colex::bench {
@@ -206,17 +203,6 @@ class Json {
   std::vector<Json> elements_;                         // array
 };
 
-/// CPUs this process may run on: its affinity mask, which can be smaller
-/// than the machine (std::thread::hardware_concurrency ignores it).
-inline std::size_t usable_cpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof set, &set) == 0) {
-    return static_cast<std::size_t>(CPU_COUNT(&set));
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 /// The machine a measurement ran on: usable CPUs, compiler and build type.
 inline Json environment() {
 #if defined(__clang__)
@@ -232,7 +218,7 @@ inline Json environment() {
   const std::string build_type = "unknown";
 #endif
   Json env = Json::object();
-  env.set("nproc", static_cast<std::uint64_t>(usable_cpus()))
+  env.set("nproc", static_cast<std::uint64_t>(util::usable_cpus()))
       .set("compiler", compiler)
       .set("build_type", build_type);
   return env;

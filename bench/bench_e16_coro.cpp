@@ -269,7 +269,7 @@ int main(int argc, char** argv) {
   // --- Phase 3: worker sweep — Algorithm 2 at n = 10^4 per worker count,
   // the median of `repeats` runs by wall time. -------------------------
   constexpr std::size_t kSweepN = 10'000;
-  const std::size_t cpus = bench::usable_cpus();
+  const std::size_t cpus = util::usable_cpus();
   const std::size_t max_workers = smoke ? 2 : cpus;
   const std::size_t repeats = smoke ? 1 : 3;
   std::vector<Alg2Run> worker_rows;

@@ -161,10 +161,12 @@ run_metrics_smoke() {
 
 # Socket-transport smoke: the cross-substrate conformance battery and the
 # multi-process election (real forked colex-ring node processes) must pass,
-# then bench_e18_net --smoke reruns socket-vs-coro head to head and writes
-# BENCH_E18.json; the gates checked on the artifact are exact paper pulse
-# counts everywhere (including the merged multi-process Theorem 1 total)
-# and wire-level conservation: sent == consumed == bytes each way.
+# then bench_e18_net --smoke reruns socket-vs-coro head to head, splits the
+# socket-ring shape's elections into stages, and writes BENCH_E18.json; the
+# gates checked on the artifact are exact paper pulse counts everywhere
+# (including the merged multi-process Theorem 1 total), wire-level
+# conservation (sent == consumed == bytes each way), and the four stages
+# summing to each election's wall time within 5%.
 run_socket_smoke() {
   local dir="$1" label="$2"
   echo "==> [$label] socket smoke: conformance + multi-process + E18 gates"
@@ -176,6 +178,7 @@ run_socket_smoke() {
   (cd "$dir" && ./bench/bench_e18_net --smoke)
   grep -q '"gate_multiproc_ok": true' "$dir/BENCH_E18.json"
   grep -q '"gate_wire_conserved": true' "$dir/BENCH_E18.json"
+  grep -q '"gate_stages_ok": true' "$dir/BENCH_E18.json"
   grep -q '"gate_ok": true' "$dir/BENCH_E18.json"
 }
 

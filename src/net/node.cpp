@@ -5,7 +5,10 @@
 #include <string.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
+
+#include "util/cpus.hpp"
 
 namespace colex::net {
 
@@ -20,7 +23,16 @@ std::string errno_string(const char* what) {
 /// (Algorithm 3's probe storms) moving while the sender is still busy.
 constexpr std::uint64_t kFlushBatch = 64;
 
+/// How long wait() busy-reads the ring edges before it reports idle and
+/// blocks in poll(), when the ring fits the CPUs (spin_fits). It must cover
+/// the ring's round trip, two hops at n = 3; DESIGN §11 has the sweep.
+constexpr std::chrono::microseconds kSpinBudget{100};
+
 }  // namespace
+
+bool spin_fits(std::size_t ring_size, std::size_t cpus) {
+  return ring_size + 1 <= cpus;
+}
 
 // --- Handshake -----------------------------------------------------------
 
@@ -116,10 +128,11 @@ Fd accept_predecessor(int listener, std::uint32_t want_sender,
 PulseEndpoint::PulseEndpoint(Fd succ, Fd pred, Fd ctl, sim::Port succ_port,
                              Deadline deadline, CtlParser parser,
                              std::vector<CtlMsg> pending,
-                             obs::FlightRing* flight)
+                             obs::FlightRing* flight, bool spin)
     : ctl_(std::move(ctl)),
       deadline_(deadline),
       ctl_parser_(std::move(parser)),
+      spin_(spin),
       flight_(flight) {
   links_[sim::index(succ_port)].fd = std::move(succ);
   links_[sim::index(sim::opposite(succ_port))].fd = std::move(pred);
@@ -319,6 +332,13 @@ bool PulseEndpoint::wait() {
     if (!drain_link(i, false)) return false;
   }
   if (queue_[0] + queue_[1] > 0) return true;  // ThreadRing wait_any contract
+  // The REPORT follows the spin: a wait the spin satisfies sends no REPORT
+  // and makes no poll().
+  if (spin_) {
+    busy_read();
+    if (stop_) return false;
+    if (queue_[0] + queue_[1] > 0) return true;
+  }
   if (!report()) return false;
   answer_pending_probe();
   if (stop_) return false;
@@ -358,6 +378,20 @@ bool PulseEndpoint::wait() {
       fail(what);
       return false;
     }
+  }
+}
+
+void PulseEndpoint::busy_read() {
+  const auto until = std::chrono::steady_clock::now() + kSpinBudget;
+  for (;;) {
+    // The budget is checked before the drain, so the last drain happens
+    // after it ran out: a spinner preempted past the budget still sees the
+    // pulse that arrived meanwhile.
+    const bool last = std::chrono::steady_clock::now() >= until;
+    for (int i = 0; i < 2; ++i) {
+      if (!drain_link(i, false)) return;
+    }
+    if (queue_[0] + queue_[1] > 0 || last) return;
   }
 }
 
@@ -577,7 +611,8 @@ NodeResult run_ring_node(const RingNodeConfig& cfg) {
   const sim::Port succ_label = cfg.flip ? sim::Port::p0 : sim::Port::p1;
   PulseEndpoint ep(std::move(succ), std::move(pred), std::move(ctl),
                    succ_label, deadline, std::move(parser),
-                   std::move(pending), cfg.flight);
+                   std::move(pending), cfg.flight,
+                   spin_fits(cfg.ring_size, util::usable_cpus()));
 
   rt::BlockingOutcome out;
   try {

@@ -26,13 +26,30 @@
 // ----------
 // recv()/send() never block: recv pops from the per-port arrival queues,
 // send batches a pulse byte on the connection's output tally (flushed at
-// wait() and whenever a batch fills). wait() flushes, returns immediately
-// if arrivals are already queued (ThreadRing's wait_any contract), else
-// reports idle to the coordinator and blocks in poll() over {successor,
-// predecessor, control} until pulses arrive, the coordinator broadcasts
-// STOP (wait returns false), or the watchdog deadline expires. Quiescence
-// probes are answered only from a provably idle, fully flushed state; the
-// coordinator's two-round confirmation (coordinator.hpp) does the rest.
+// wait() and whenever a batch fills). wait() flushes, drains the control
+// stream and both ring edges, and returns immediately if arrivals are
+// queued (ThreadRing's wait_any contract). Otherwise, when the endpoint
+// spins, it busy-reads both ring edges for up to a fixed budget (100 µs)
+// and returns as soon as a pulse lands. Only then does it report idle to
+// the coordinator and block in poll() over {successor, predecessor,
+// control} until pulses arrive, the coordinator broadcasts STOP (wait
+// returns false), or the watchdog deadline expires.
+//
+// The spin exists because an election is one causal chain: socket-ring's
+// shape (Alg 2, n=3) is ~12,000 hops deep for 12,003 pulses, so wall time
+// is hops × per-hop latency, and a blocking hop pays a sleep/wake. The
+// REPORT follows the spin, so a wait the spin satisfies sends no REPORT
+// and makes no poll(); quiescence detection only learns of an idle node up
+// to one budget later. run_ring_node turns the spin on only when every
+// thread of the ring can have its own CPU (spin_fits: n node threads plus
+// the coordinator within the affinity mask): spinners on a shared CPU take
+// it from the node that holds the chain, which made E18's n=128 Alg 2 row
+// 3.4x slower with the spin forced on. While a spinning ring elects, the
+// nodes off the chain keep their CPUs busy; DESIGN §11 gives the cost.
+//
+// Quiescence probes are answered only from a provably idle, fully flushed
+// state; the coordinator's two-round confirmation (coordinator.hpp) does
+// the rest.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +92,10 @@ struct EndpointCounters {
   }
 };
 
+/// The busy-read rule: a ring of `ring_size` node threads plus its
+/// coordinator spins only when each thread can have one of `cpus` CPUs.
+bool spin_fits(std::size_t ring_size, std::size_t cpus);
+
 // --- Handshake (exposed for the framing tests) ---------------------------
 
 /// Writes the HELLO frame on a freshly connected edge.
@@ -107,11 +128,12 @@ class PulseEndpoint {
   /// `succ_port` is the LOCAL port label of the successor edge (Port1, or
   /// Port0 under a flip); the predecessor edge gets the opposite label.
   /// `ctl` carries the coordinator protocol; `parser`/`pending` carry over
-  /// control bytes already read during formation.
+  /// control bytes already read during formation. `spin` turns on wait()'s
+  /// busy-read phase (see "Event loop" above).
   PulseEndpoint(Fd succ, Fd pred, Fd ctl, sim::Port succ_port,
                 Deadline deadline, CtlParser parser = {},
                 std::vector<CtlMsg> pending = {},
-                obs::FlightRing* flight = nullptr);
+                obs::FlightRing* flight = nullptr, bool spin = false);
 
   PulseEndpoint(const PulseEndpoint&) = delete;
   PulseEndpoint& operator=(const PulseEndpoint&) = delete;
@@ -163,6 +185,9 @@ class PulseEndpoint {
   /// Drains control bytes; handles STOP/PROBE/unexpected frames.
   bool drain_ctl();
   bool handle_ctl(const CtlMsg& msg);
+  /// Drains both ring edges without blocking until a pulse is queued, the
+  /// spin budget runs out, or a read fails.
+  void busy_read();
   void answer_pending_probe();
   void fail(const std::string& what);
 
@@ -176,6 +201,7 @@ class PulseEndpoint {
   bool done_ = false;  ///< algorithm terminated naturally
   bool have_probe_ = false;
   std::uint64_t probe_round_ = 0;
+  bool spin_ = false;
   bool shut_ = false;
   std::string error_;
   obs::FlightRing* flight_ = nullptr;

@@ -14,6 +14,8 @@ namespace colex::net {
 
 namespace {
 
+constexpr const char* kCoordinatorRing = "net.coordinator";
+
 void publish_metrics(obs::Registry& metrics, const SocketRunResult& result,
                      const std::vector<std::uint64_t>& ids,
                      rt::ThreadAlg alg, const CoordinatorResult& cres) {
@@ -50,7 +52,7 @@ SocketRunResult run_on_sockets(const std::vector<std::uint64_t>& ids,
   obs::FlightRing* coord_ring = nullptr;
   std::vector<obs::FlightRing*> node_rings(n, nullptr);
   if (options.flight != nullptr) {
-    coord_ring = &options.flight->ring("net.coordinator");
+    coord_ring = &options.flight->ring(kCoordinatorRing);
     for (std::uint32_t v = 0; v < n; ++v) {
       node_rings[v] = &options.flight->ring("net.node." + std::to_string(v));
     }
@@ -114,6 +116,18 @@ SocketRunResult run_on_sockets(const std::vector<std::uint64_t>& ids,
     publish_metrics(*options.metrics, result, ids, alg, cres);
   }
   return result;
+}
+
+RunStages run_stages(obs::FlightRecorder& flight) {
+  RunStages s;
+  for (const obs::FlightEvent& e : flight.ring(kCoordinatorRing).snapshot()) {
+    const std::string what = e.what;
+    if (what == "go") s.go_ns = e.t_ns;
+    if (what == "probe" && s.probe_ns == 0) s.probe_ns = e.t_ns;
+    if (what == "quiescent") s.quiescent_ns = e.t_ns;
+    if (what == "complete") s.complete_ns = e.t_ns;
+  }
+  return s;
 }
 
 MultiProcResult run_multiprocess(const std::vector<std::uint64_t>& ids,

@@ -49,6 +49,25 @@ SocketRunResult run_on_sockets(const std::vector<std::uint64_t>& ids,
                                rt::ThreadAlg alg,
                                const SocketRunOptions& options = {});
 
+/// Stage boundaries of one run_on_sockets call, read from the coordinator's
+/// ring of SocketRunOptions::flight: GO ends formation, the first PROBE
+/// ends the election, "quiescent" ends quiescence detection, and
+/// "complete" (every RESULT in) ends teardown. Steady-clock nanoseconds,
+/// as obs::FlightEvent stamps them; 0 where the ring lacks the event.
+struct RunStages {
+  std::uint64_t go_ns = 0;
+  std::uint64_t probe_ns = 0;
+  std::uint64_t quiescent_ns = 0;
+  std::uint64_t complete_ns = 0;
+
+  bool complete() const {
+    return go_ns != 0 && probe_ns != 0 && quiescent_ns != 0 &&
+           complete_ns != 0;
+  }
+};
+
+RunStages run_stages(obs::FlightRecorder& flight);
+
 struct MultiProcOptions {
   std::uint64_t timeout_ms = 30'000;
   std::uint16_t base_port = 0;  ///< as SocketRunOptions::base_port

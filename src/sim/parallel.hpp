@@ -27,14 +27,12 @@
 #include "sim/explore.hpp"
 #include "sim/network.hpp"
 #include "util/contracts.hpp"
+#include "util/cpus.hpp"
 
 namespace colex::sim {
 
-/// Default worker count for sweeps: hardware concurrency, at least 1.
-inline std::size_t default_workers() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : static_cast<std::size_t>(hc);
-}
+/// Default worker count for sweeps: the CPUs this process may run on.
+inline std::size_t default_workers() { return util::usable_cpus(); }
 
 /// Runs `count` independent tasks on up to `workers` threads; `fn(i)` is
 /// invoked exactly once for every i in [0, count). With workers <= 1 the

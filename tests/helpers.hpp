@@ -5,6 +5,10 @@
 #include <string>
 #include <vector>
 
+#include "co/alg1.hpp"
+#include "co/alg2.hpp"
+#include "co/alg3.hpp"
+#include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "util/ids.hpp"
 
@@ -51,6 +55,35 @@ class ViewPathScheduler final : public sim::Scheduler {
  private:
   sim::Scheduler& inner_;
 };
+
+/// The pulse algorithms a plain simulator ring can run.
+enum class RingAlg { alg1, alg2, alg3 };
+
+/// A ring of `alg` automata on `ids`; Algorithm 3 gets seeded random flips.
+inline sim::PulseNetwork make_ring(RingAlg alg,
+                                   const std::vector<std::uint64_t>& ids) {
+  const std::vector<bool> flips = alg == RingAlg::alg3
+                                      ? util::random_flips(ids.size(), 3)
+                                      : std::vector<bool>{};
+  auto net = sim::PulseNetwork::ring(ids.size(), flips);
+  for (sim::NodeId v = 0; v < ids.size(); ++v) {
+    std::unique_ptr<sim::PulseAutomaton> a;
+    switch (alg) {
+      case RingAlg::alg1:
+        a = std::make_unique<co::Alg1Stabilizing>(ids[v]);
+        break;
+      case RingAlg::alg2:
+        a = std::make_unique<co::Alg2Terminating>(ids[v]);
+        break;
+      case RingAlg::alg3:
+        a = std::make_unique<co::Alg3NonOriented>(
+            ids[v], co::Alg3NonOriented::Options{});
+        break;
+    }
+    net.set_automaton(v, std::move(a));
+  }
+  return net;
+}
 
 /// The schedulers that take the incremental protocol, as fresh instances:
 /// global-fifo and one seeded random.

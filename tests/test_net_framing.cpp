@@ -1,11 +1,13 @@
 // Wire-level tests for the socket backend: incremental HELLO / control
 // parsers under partial and coalesced reads, the pulse endpoint's event
-// loop on socketpairs (burst coalescing, EOF mid-election, teardown), and
-// the connect helpers' refused-vs-fatal classification. Every wait in here
-// is deadline-based — no sleeps, no timing assumptions.
+// loop on socketpairs (burst coalescing, EOF mid-election, teardown, the
+// busy-read phase), the busy-read CPU rule, and the connect helpers'
+// refused-vs-fatal classification. Every wait in here is deadline-based —
+// no sleeps, no timing assumptions.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <netinet/in.h>
@@ -250,10 +252,11 @@ TEST(Handshake, AcceptPredecessorGivesUpAtDeadline) {
 struct Bench {
   Pair succ_pair, pred_pair, ctl_pair;
   PulseEndpoint ep;
-  explicit Bench(std::uint64_t timeout_ms = 2000, bool flip = false)
+  explicit Bench(std::uint64_t timeout_ms = 2000, bool flip = false,
+                 bool spin = false)
       : ep(std::move(succ_pair.a), std::move(pred_pair.a),
            std::move(ctl_pair.a), flip ? sim::Port::p0 : sim::Port::p1,
-           Deadline::in_ms(timeout_ms)) {}
+           Deadline::in_ms(timeout_ms), {}, {}, nullptr, spin) {}
   int succ() const { return succ_pair.b.get(); }
   int pred() const { return pred_pair.b.get(); }
   int ctl() const { return ctl_pair.b.get(); }
@@ -379,6 +382,71 @@ TEST(PulseEndpoint, ProbeAckDeferredUntilQueueDrains) {
   EXPECT_EQ(ack.words[0], 7u);
   EXPECT_EQ(ack.words[1], kStateIdle);
   EXPECT_EQ(ack.words[3], 1u);  // consumed
+}
+
+// --- The busy-read phase ---------------------------------------------------
+
+/// Reads control frames from the coordinator's end until `count` arrived.
+std::vector<CtlMsg> read_ctl(int fd, std::size_t count) {
+  CtlParser parser;
+  std::vector<CtlMsg> msgs;
+  while (msgs.size() < count) {
+    unsigned char rx[256];
+    const ssize_t n = ::read(fd, rx, sizeof(rx));
+    if (n <= 0) break;
+    if (!parser.feed(rx, static_cast<std::size_t>(n), msgs)) break;
+  }
+  return msgs;
+}
+
+TEST(PulseEndpointSpin, IdleWaitStillReportsOnceAcksProbeAndEndsAtDeadline) {
+  Bench bench(250, /*flip=*/false, /*spin=*/true);
+  const auto probe = encode_ctl(Ctl::probe, {3});
+  std::string err;
+  ASSERT_TRUE(send_all(bench.ctl(), probe.data(), probe.size(),
+                       Deadline::in_ms(2000), &err));
+  // Nothing arrives: the spin runs out, then the wait reports idle, acks
+  // the probe, blocks in poll() and ends at the watchdog deadline.
+  EXPECT_FALSE(bench.ep.wait());
+  EXPECT_EQ(bench.ep.counters().reports, 1u);
+  EXPECT_EQ(bench.ep.counters().probe_acks, 1u);
+  EXPECT_GE(bench.ep.counters().polls, 1u);
+  EXPECT_NE(bench.ep.error().find("deadline"), std::string::npos)
+      << bench.ep.error();
+  const std::vector<CtlMsg> msgs = read_ctl(bench.ctl(), 2);
+  ASSERT_EQ(msgs.size(), 2u);
+  EXPECT_EQ(msgs[0].type, Ctl::report);
+  EXPECT_EQ(msgs[0].words[0], kStateIdle);
+  EXPECT_EQ(msgs[1].type, Ctl::probe_ack);
+  EXPECT_EQ(msgs[1].words[0], 3u);
+}
+
+TEST(PulseEndpointSpin, StopAfterTheIdleReportEndsWaitWithFalse) {
+  Bench bench(5000, /*flip=*/false, /*spin=*/true);
+  // The coordinator's side: answer the idle REPORT with STOP, as it does
+  // once the ring is quiescent.
+  std::thread coordinator([&bench] {
+    const std::vector<CtlMsg> msgs = read_ctl(bench.ctl(), 1);
+    EXPECT_EQ(msgs.size(), 1u);
+    const auto stop = encode_ctl(Ctl::stop, {});
+    std::string err;
+    EXPECT_TRUE(send_all(bench.ctl(), stop.data(), stop.size(),
+                         Deadline::in_ms(2000), &err));
+  });
+  EXPECT_FALSE(bench.ep.wait());
+  coordinator.join();
+  EXPECT_TRUE(bench.ep.stopped());
+  EXPECT_TRUE(bench.ep.error().empty()) << bench.ep.error();
+  EXPECT_EQ(bench.ep.counters().reports, 1u);
+}
+
+TEST(PulseEndpointSpin, SpinsOnlyWhenEveryThreadHasACpu) {
+  // n node threads plus the coordinator.
+  EXPECT_TRUE(spin_fits(3, 4));
+  EXPECT_FALSE(spin_fits(4, 4));
+  EXPECT_FALSE(spin_fits(1, 1));
+  EXPECT_TRUE(spin_fits(1, 2));
+  EXPECT_FALSE(spin_fits(128, 4));
 }
 
 // --- Connect classification ----------------------------------------------

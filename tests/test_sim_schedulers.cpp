@@ -321,7 +321,8 @@ TEST(Schedulers, RecorderResetClearsTape) {
 // the same network counters.
 // ---------------------------------------------------------------------------
 
-enum class Alg { alg1, alg2, alg3 };
+using Alg = test::RingAlg;
+using test::make_ring;
 
 struct Observed {
   std::vector<std::size_t> tape;
@@ -329,25 +330,6 @@ struct Observed {
   PulseNetwork::Counters counters;
   bool quiescent = false;
 };
-
-PulseNetwork make_ring(Alg alg, const std::vector<std::uint64_t>& ids) {
-  const std::vector<bool> flips =
-      alg == Alg::alg3 ? util::random_flips(ids.size(), 3) : std::vector<bool>{};
-  auto net = PulseNetwork::ring(ids.size(), flips);
-  for (NodeId v = 0; v < ids.size(); ++v) {
-    std::unique_ptr<PulseAutomaton> a;
-    switch (alg) {
-      case Alg::alg1: a = std::make_unique<co::Alg1Stabilizing>(ids[v]); break;
-      case Alg::alg2: a = std::make_unique<co::Alg2Terminating>(ids[v]); break;
-      case Alg::alg3:
-        a = std::make_unique<co::Alg3NonOriented>(ids[v],
-                                                  co::Alg3NonOriented::Options{});
-        break;
-    }
-    net.set_automaton(v, std::move(a));
-  }
-  return net;
-}
 
 /// Runs `net` under `s`, recorded and traced.
 Observed observe(PulseNetwork& net, Scheduler& s, RunOptions opts = {}) {

@@ -7,8 +7,10 @@
 #include "co/alg3.hpp"
 #include "co/election.hpp"
 #include "helpers.hpp"
+#include "sim/depth.hpp"
 #include "sim/network.hpp"
 #include "sim/trace.hpp"
+#include "util/contracts.hpp"
 
 namespace colex::sim {
 namespace {
@@ -139,6 +141,73 @@ TEST(Trace, RingWiringMapsEndpointsBothWays) {
   const auto scrambled = ring_wiring(3, {false, true, false});
   EXPECT_EQ(scrambled(1, Port::p1), (std::pair<NodeId, Port>{0, Port::p1}));
   EXPECT_EQ(scrambled(1, Port::p0), (std::pair<NodeId, Port>{2, Port::p0}));
+}
+
+// --- Causal depth ----------------------------------------------------------
+
+using Alg = test::RingAlg;
+using test::make_ring;
+
+struct Depth {
+  std::uint64_t depth = 0;
+  std::uint64_t sent = 0;
+};
+
+Depth measure_depth(PulseNetwork net, Scheduler& s) {
+  CausalDepthProbe probe;
+  RunOptions opts;
+  probe.attach(net, opts);
+  const RunReport report = net.run(s, opts);
+  EXPECT_TRUE(report.quiescent);
+  return {probe.depth(), report.sent};
+}
+
+TEST(CausalDepth, OneNodeRingIsFullySequential) {
+  // A self-loop has one node, so every pulse follows the one before it.
+  for (const std::uint64_t id : {1u, 2u, 7u, 60u}) {
+    GlobalFifoScheduler fifo;
+    const Depth d = measure_depth(make_ring(Alg::alg2, {id}), fifo);
+    EXPECT_EQ(d.sent, 2 * id + 1) << id;
+    EXPECT_EQ(d.depth, 2 * id + 1) << id;
+  }
+}
+
+TEST(CausalDepth, IndexedAndViewPathGiveEqualDepths) {
+  for (const Alg alg : {Alg::alg1, Alg::alg2, Alg::alg3}) {
+    for (const std::size_t n : {2u, 5u, 16u}) {
+      const auto ids = test::shuffled(test::dense_ids(n), n);
+      GlobalFifoScheduler indexed, inner;
+      test::ViewPathScheduler views(inner);
+      const Depth a = measure_depth(make_ring(alg, ids), indexed);
+      const Depth b = measure_depth(make_ring(alg, ids), views);
+      const std::string label = "alg" + std::to_string(static_cast<int>(alg) + 1) +
+                                " n=" + std::to_string(n);
+      EXPECT_EQ(a.depth, b.depth) << label;
+      EXPECT_EQ(a.sent, b.sent) << label;
+      EXPECT_GE(a.depth, 1u) << label;
+      EXPECT_LE(a.depth, a.sent) << label;
+    }
+  }
+}
+
+TEST(CausalDepth, SocketRingShapeIsOneChain) {
+  // perfbench's socket-ring shape: Alg 2, n = 3, IDmax = 2000, two small
+  // IDs. Nearly every pulse waits for the one before it.
+  GlobalFifoScheduler fifo;
+  const Depth d = measure_depth(make_ring(Alg::alg2, {5, 2000, 2}), fifo);
+  EXPECT_EQ(d.sent, 12'003u);
+  EXPECT_LE(d.depth, d.sent);
+  EXPECT_GE(d.depth * 100, d.sent * 99);
+}
+
+TEST(CausalDepth, UnsentDeliveryIsAContractViolation) {
+  auto net = make_ring(Alg::alg2, {3, 5, 2});
+  CausalDepthProbe probe;
+  RunOptions opts;
+  probe.attach(net, opts);
+  net.inject_fault(0);  // a pulse no node sent
+  GlobalFifoScheduler fifo;
+  EXPECT_THROW(net.run(fifo, opts), util::ContractViolation);
 }
 
 }  // namespace

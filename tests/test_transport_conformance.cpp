@@ -14,6 +14,7 @@
 
 #include <sys/socket.h>
 
+#include "co/election.hpp"
 #include "co/oriented.hpp"
 #include "coro/run.hpp"
 #include "net/node.hpp"
@@ -22,6 +23,7 @@
 #include "qa/properties.hpp"
 #include "runtime/blocking_algs.hpp"
 #include "runtime/transport.hpp"
+#include "util/cpus.hpp"
 
 namespace colex {
 namespace {
@@ -135,6 +137,36 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BatteryCase>& param_info) {
       return case_name(param_info.param);
     });
+
+// --- The socket endpoint's busy-read phase ---------------------------------
+
+// A ring that fits the CPUs busy-reads before it sleeps, so most hops find
+// their receiver awake: no idle REPORT, no poll(). Without the spin about
+// 0.83 REPORTs and 0.83 polls go with every pulse, in every run. The spin
+// engages only while the ring's threads really have their CPUs, so ctest
+// runs this binary alone (RUN_SERIAL in tests/CMakeLists.txt), and one of
+// a few elections must show it: a burst of load from outside the process
+// can still put one election to sleep.
+TEST(SocketSpin, RingThatFitsTheCpusReportsAndPollsFarLessThanItPulses) {
+  if (util::usable_cpus() < 4) {
+    GTEST_SKIP() << "needs 4 usable CPUs: 3 node threads + the coordinator";
+  }
+  const std::vector<std::uint64_t> ids{7, 300, 2};
+  ASSERT_TRUE(net::spin_fits(ids.size(), util::usable_cpus()));
+  std::string seen;
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    const net::SocketRunResult r =
+        net::run_on_sockets(ids, {}, rt::ThreadAlg::alg2);
+    ASSERT_TRUE(r.completed) << r.stall_dump;
+    ASSERT_EQ(r.pulses, co::theorem1_pulses(3, 300));
+    ASSERT_EQ(r.leader_count, 1u);
+    if (r.wire.reports * 4 < r.pulses && r.wire.polls * 4 < r.pulses) return;
+    seen += " (" + std::to_string(r.wire.reports) + " reports, " +
+            std::to_string(r.wire.polls) + " polls)";
+  }
+  ADD_FAILURE() << "every election slept through its hops:" << seen
+                << " for " << co::theorem1_pulses(3, 300) << " pulses each";
+}
 
 // --- PulsePort contract checks (scripted mock transport) -----------------
 

@@ -1,16 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <cmath>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/export.hpp"
 #include "obs/serve.hpp"
 #include "qa/repro.hpp"
+#include "sim/parallel.hpp"
 #include "util/contracts.hpp"
+#include "util/cpus.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -18,6 +23,33 @@
 
 namespace colex::util {
 namespace {
+
+TEST(UsableCpus, CountsTheAffinityMask) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
+  EXPECT_EQ(usable_cpus(), static_cast<std::size_t>(CPU_COUNT(&mask)));
+  EXPECT_EQ(sim::default_workers(), usable_cpus());
+  // A thread pinned to one CPU sees one CPU, however many the machine has.
+  bool pinned = false;
+  std::size_t seen = 0;
+  std::thread probe([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (std::size_t c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &mask)) {
+        CPU_SET(c, &one);
+        break;
+      }
+    }
+    pinned = sched_setaffinity(0, sizeof one, &one) == 0;
+    seen = usable_cpus();
+  });
+  probe.join();
+  if (pinned) {
+    EXPECT_EQ(seen, 1u);
+  }
+}
 
 TEST(SplitMix64, IsDeterministic) {
   SplitMix64 a(42), b(42);
