@@ -203,7 +203,8 @@ class Json {
   std::vector<Json> elements_;                         // array
 };
 
-/// The machine a measurement ran on: usable CPUs, compiler and build type.
+/// The machine and code a measurement ran on: usable CPUs, compiler, build
+/// type and the git commit the build was configured at.
 inline Json environment() {
 #if defined(__clang__)
   const std::string compiler = "clang " __clang_version__;
@@ -217,10 +218,16 @@ inline Json environment() {
 #else
   const std::string build_type = "unknown";
 #endif
+#ifdef COLEX_GIT_SHA
+  const std::string git_sha = COLEX_GIT_SHA;
+#else
+  const std::string git_sha = "unknown";
+#endif
   Json env = Json::object();
   env.set("nproc", static_cast<std::uint64_t>(util::usable_cpus()))
       .set("compiler", compiler)
-      .set("build_type", build_type);
+      .set("build_type", build_type)
+      .set("git_sha", git_sha);
   return env;
 }
 

@@ -205,7 +205,7 @@ PY
 # Simulator scaling gate: a simulator step must not grow with the number of
 # busy channels, so Algorithm 2's pulses/s at n=1024 must stay at least half
 # its n=16 rate. Both runs share one host, so its speed cancels out of the
-# ratio; bench_e10_micro computes it into BENCH_E10.json from the best of
+# ratio; bench_e10_micro computes it into BENCH_E10.json from the median of
 # three repetitions, since the n=1024 rate swings with other load on the box.
 run_sim_scaling_gate() {
   local dir="$1" label="$2"

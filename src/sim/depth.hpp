@@ -12,9 +12,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "sim/fifo.hpp"
 #include "sim/network.hpp"
 #include "util/contracts.hpp"
 
@@ -54,10 +54,9 @@ class CausalDepthProbe {
     auto previous_deliver = opts.on_deliver;
     opts.on_deliver = [this, previous_deliver](NodeId v, Port p,
                                                Direction d) {
-      std::deque<std::uint64_t>& q = fifo_[to_slot_[slot(v, p)]];
+      Fifo<std::uint64_t>& q = fifo_[to_slot_[slot(v, p)]];
       COLEX_ASSERT(!q.empty());  // a pulse nobody sent: not fault-free
-      clock_[v] = std::max(clock_[v], q.front());
-      q.pop_front();
+      clock_[v] = std::max(clock_[v], q.pop_front());
       if (previous_deliver) previous_deliver(v, p, d);
     };
     net.chain_send_observer([this](NodeId v, Port p, Direction) {
@@ -76,7 +75,7 @@ class CausalDepthProbe {
   }
 
   std::vector<std::uint64_t> clock_;  ///< per node
-  std::vector<std::deque<std::uint64_t>> fifo_;  ///< per channel, in flight
+  std::vector<Fifo<std::uint64_t>> fifo_;  ///< per channel, in flight
   std::vector<std::size_t> from_slot_;  ///< sending endpoint -> channel
   std::vector<std::size_t> to_slot_;    ///< receiving endpoint -> channel
   std::uint64_t depth_ = 0;

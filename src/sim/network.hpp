@@ -11,7 +11,9 @@
 // * Channels are per-direction FIFO. For indistinguishable pulses this is
 //   without loss of generality; cross-channel interleaving is controlled by
 //   a Scheduler (see scheduler.hpp), which is where all adversarial
-//   asynchrony lives.
+//   asynchrony lives. A channel keeps its in-flight items in a sim::Fifo
+//   (fifo.hpp), a ring buffer that allocates on its first push and gives
+//   a drained burst's memory back; content-carrying inboxes use it too.
 // * Nodes are event-driven (paper §2): they act once at start and afterwards
 //   only when a pulse is delivered. A delivery pushes the payload into the
 //   destination node's per-port incoming queue and triggers `react`, which
@@ -25,13 +27,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "sim/fifo.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/types.hpp"
 #include "util/contracts.hpp"
@@ -183,15 +185,11 @@ class Inbox {
  public:
   std::size_t size() const { return items_.size(); }
   void push(P payload) { items_.push_back(std::move(payload)); }
-  P pop() {
-    P payload = std::move(items_.front());
-    items_.pop_front();
-    return payload;
-  }
+  P pop() { return items_.pop_front(); }
   void clear() { items_.clear(); }
 
  private:
-  std::deque<P> items_;
+  Fifo<P> items_;
 };
 
 /// Pulses are indistinguishable, so a pulse inbox is just a count — the
@@ -472,9 +470,8 @@ class Network {
   void duplicate_fault(std::size_t c) {
     COLEX_EXPECTS(c < channels_.size() && !channels_[c].items.empty());
     auto& items = channels_[c].items;
-    items.insert(items.begin() + 1,
-                 Item{P(items.front().payload), next_seq_++,
-                      items.front().stamp});
+    items.insert_second(
+        Item{P(items.front().payload), next_seq_++, items.front().stamp});
     ++total_sent_;
     ++duplicated_;
   }
@@ -679,7 +676,7 @@ class Network {
 
  private:
   struct Item {
-    P payload;
+    [[no_unique_address]] P payload;  // a Pulse takes no room
     std::uint64_t seq;
     std::uint64_t stamp;
   };
@@ -689,7 +686,7 @@ class Network {
     NodeId to_node{};
     Port to_port{};
     Direction dir{};
-    std::deque<Item> items;
+    Fifo<Item> items;
     std::size_t nonempty_pos = kNoPos;  // index into nonempty_, or kNoPos
   };
   struct NodeState {
@@ -780,8 +777,7 @@ class Network {
 
   Item pop_item(std::size_t c) {
     auto& ch = channels_[c];
-    Item item = std::move(ch.items.front());
-    ch.items.pop_front();
+    Item item = ch.items.pop_front();
     if (ch.items.empty()) {
       const std::size_t pos = ch.nonempty_pos;
       const std::size_t moved = nonempty_.back();

@@ -1,6 +1,7 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/contracts.hpp"
 
@@ -22,33 +23,63 @@ std::size_t GlobalFifoScheduler::pick(const std::vector<ChannelView>& pending) {
 }
 
 bool GlobalFifoScheduler::begin_index(std::size_t channels) {
+  COLEX_EXPECTS(channels < kFree);
   head_seq_.assign(channels, kEmpty);
-  heap_.clear();
+  slots_.assign(std::max<std::size_t>(64, std::bit_ceil(4 * channels)), kFree);
+  base_ = 0;
+  busy_ = 0;
+  rebuilds_ = 0;
   return true;
 }
 
 void GlobalFifoScheduler::head_changed(const ChannelView& head) {
+  const std::size_t mask = slots_.size() - 1;
+  std::uint64_t& seq = head_seq_[head.channel];
+  if (seq != kEmpty) {
+    slots_[seq & mask] = kFree;
+    --busy_;
+  }
   if (head.pending == 0) {
-    head_seq_[head.channel] = kEmpty;
+    seq = kEmpty;
     return;
   }
-  head_seq_[head.channel] = head.head_seq;
-  heap_.push_back(Entry{head.head_seq, head.channel});
-  std::push_heap(heap_.begin(), heap_.end(), younger);
+  seq = head.head_seq;
+  if (busy_++ == 0) base_ = seq;  // an empty window moves for free
+  if (seq - base_ < slots_.size()) {  // unsigned: false below the base too
+    slots_[seq & mask] = static_cast<std::uint32_t>(head.channel);
+  } else {
+    rebuild();
+  }
+}
+
+void GlobalFifoScheduler::rebuild() {
+  ++rebuilds_;
+  std::uint64_t lo = kEmpty;
+  std::uint64_t hi = 0;
+  for (const std::uint64_t seq : head_seq_) {
+    if (seq == kEmpty) continue;
+    lo = std::min(lo, seq);
+    hi = std::max(hi, seq);
+  }
+  std::size_t size = slots_.size();
+  while (hi - lo >= size) size *= 2;
+  slots_.assign(size, kFree);
+  base_ = lo;
+  for (std::size_t c = 0; c < head_seq_.size(); ++c) {
+    if (head_seq_[c] == kEmpty) continue;
+    slots_[head_seq_[c] & (size - 1)] = static_cast<std::uint32_t>(c);
+  }
 }
 
 std::size_t GlobalFifoScheduler::pick_indexed(
     const std::vector<std::size_t>& busy) {
   COLEX_EXPECTS(!busy.empty());
-  // An entry is live while it still names its channel's head; older ones
-  // (delivered, dropped, or emptied heads) are discarded on the way up.
-  for (;;) {
-    COLEX_ASSERT(!heap_.empty());  // every busy head was reported
-    const Entry top = heap_.front();
-    if (head_seq_[top.channel] == top.seq) return top.channel;
-    std::pop_heap(heap_.begin(), heap_.end(), younger);
-    heap_.pop_back();
-  }
+  COLEX_ASSERT(busy_ != 0);  // every busy head was reported
+  // Every head lies in [base_, base_ + slots), so the first filled slot
+  // from the base on holds the lowest one.
+  const std::size_t mask = slots_.size() - 1;
+  while (slots_[base_ & mask] == kFree) ++base_;
+  return slots_[base_ & mask];
 }
 
 std::size_t GlobalLifoScheduler::pick(const std::vector<ChannelView>& pending) {

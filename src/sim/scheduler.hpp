@@ -75,7 +75,16 @@ class Scheduler {
 };
 
 /// Delivers pulses in global send order (the "synchronous-looking" run).
-/// Indexed: a lazy-deletion min-heap on (head seq, channel).
+///
+/// Indexed: each busy channel's head sits in a window of slots indexed by
+/// its head seq modulo a power of two, and a base cursor walks forward to
+/// the first filled slot, which holds the lowest head. Send seqs are
+/// unique, so that is exactly the view path's choice. Without faults
+/// delivery follows send order, so the next head is the next seq and a step
+/// costs O(1). A head outside the window (a duplicate fault can leave an
+/// older pulse behind a younger copy, so a head can fall below the base)
+/// rebuilds the window from the per-channel heads: it then starts at the
+/// lowest live head and doubles until it covers the highest.
 class GlobalFifoScheduler final : public Scheduler {
  public:
   std::size_t pick(const std::vector<ChannelView>& pending) override;
@@ -84,17 +93,19 @@ class GlobalFifoScheduler final : public Scheduler {
   void head_changed(const ChannelView& head) override;
   std::size_t pick_indexed(const std::vector<std::size_t>& busy) override;
 
+  /// Window rebuilds since the last begin_index.
+  std::uint64_t rebuilds() const { return rebuilds_; }
+
  private:
-  struct Entry {
-    std::uint64_t seq;
-    std::size_t channel;
-  };
-  // The std heap functions keep the greatest element on top, so ordering
-  // by "younger" puts the oldest head there. Send seqs are unique: no ties.
-  static bool younger(const Entry& a, const Entry& b) { return a.seq > b.seq; }
+  void rebuild();
+
   static constexpr std::uint64_t kEmpty = static_cast<std::uint64_t>(-1);
+  static constexpr std::uint32_t kFree = static_cast<std::uint32_t>(-1);
   std::vector<std::uint64_t> head_seq_;  ///< per channel; kEmpty when idle
-  std::vector<Entry> heap_;  ///< min-heap on seq; stale entries skipped
+  std::vector<std::uint32_t> slots_;  ///< channel whose head maps here
+  std::uint64_t base_ = 0;  ///< lowest seq the window covers
+  std::size_t busy_ = 0;    ///< channels with a head
+  std::uint64_t rebuilds_ = 0;
 };
 
 /// Always delivers the most recently sent pulse first (maximally stale

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
+#include <vector>
 
 #include "colex.hpp"
 
@@ -384,6 +386,144 @@ TEST(TypedPayloads, UmbrellaHeaderCompiles) {
   // just exercise a couple of symbols from distant modules).
   EXPECT_EQ(co::theorem1_pulses(2, 2), 10u);
   EXPECT_EQ(colib::encode_u64(5).size(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// The channel queue (sim/fifo.hpp): a ring buffer that wraps, grows by
+// doubling and gives a drained burst's buffer back.
+// ---------------------------------------------------------------------------
+
+TEST(ChannelQueue, FifoOrderHoldsAcrossWrapAroundAndGrowth) {
+  // Random pushes, second-place inserts and pops against std::deque. The
+  // queue fills towards a target size redrawn every 50 steps, so its head
+  // walks round buffers of every size from 4 to 512 slots, and it grows
+  // while its items wrap.
+  util::Xoshiro256StarStar rng(3);
+  Fifo<int> fifo;
+  std::deque<int> reference;
+  int next = 0;
+  std::size_t target = 0;
+  std::size_t grown_while_wrapped = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    if (step % 50 == 0) target = rng.below(300);
+    if (!reference.empty() && rng.below(10) == 0) {
+      fifo.insert_second(next);
+      reference.insert(reference.begin() + 1, next++);
+    } else if (reference.size() < target) {
+      const std::size_t capacity = fifo.capacity();
+      const bool wrapped = fifo.size() > 1 && &fifo[0] > &fifo[fifo.size() - 1];
+      fifo.push_back(next);
+      reference.push_back(next++);
+      if (wrapped && fifo.capacity() != capacity) ++grown_while_wrapped;
+    } else if (!reference.empty()) {
+      ASSERT_EQ(fifo.pop_front(), reference.front()) << "step " << step;
+      reference.pop_front();
+    }
+    ASSERT_EQ(fifo.size(), reference.size());
+    if (!reference.empty()) {
+      ASSERT_EQ(fifo.front(), reference.front());
+    }
+  }
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(fifo[i], reference[i]) << "item " << i;
+  }
+  EXPECT_GT(grown_while_wrapped, 0u);
+}
+
+TEST(ChannelQueue, DuplicateFaultQueuesTheCopyBehindTheHeadAtEveryOffset) {
+  // The head starts at every slot of an 8-slot buffer, with the channel at
+  // every fill up to a full buffer, so the copy lands across the wrap point
+  // and, on a full buffer, in one that must first grow.
+  for (int offset = 0; offset < 8; ++offset) {
+    for (int fill = 1; fill <= 8; ++fill) {
+      auto net = Network<NumberedMsg>::ring(2);
+      net.set_automaton(0, std::make_unique<NumberSource>(0));
+      net.set_automaton(1, std::make_unique<NumberSink>());
+      net.start_all();
+      // Five items grow the buffer to 8 slots, which it keeps when drained;
+      // then the head moves `offset` slots on.
+      const int passed = 5 + offset;
+      for (int k = 0; k < passed; ++k) {
+        net.inject_fault(0, NumberedMsg{-1});
+        if (k >= 4) net.deliver_step(0);
+      }
+      for (int k = 0; k < 4; ++k) net.deliver_step(0);
+      for (int k = 0; k < fill; ++k) net.inject_fault(0, NumberedMsg{k});
+      net.duplicate_fault(0);
+      while (net.channel_pending(0) != 0) net.deliver_step(0);
+      std::vector<int> expected(static_cast<std::size_t>(passed), -1);
+      expected.push_back(0);
+      for (int k = 0; k < fill; ++k) expected.push_back(k);
+      EXPECT_EQ(net.automaton_as<NumberSink>(1).received(), expected)
+          << "offset " << offset << " fill " << fill;
+    }
+  }
+}
+
+TEST(ChannelQueue, DrainedBurstGivesItsBufferBack) {
+  Fifo<int> fifo;
+  EXPECT_EQ(fifo.capacity(), 0u);  // nothing allocated before the first push
+  // Algorithm 2 relays a CCW backlog of up to 650 pulses in one react.
+  for (int k = 0; k < 650; ++k) fifo.push_back(k);
+  EXPECT_EQ(fifo.capacity(), 1024u);
+  for (int k = 0; k < 649; ++k) EXPECT_EQ(fifo.pop_front(), k);
+  EXPECT_EQ(fifo.capacity(), 1024u);  // kept while anything is queued
+  EXPECT_EQ(fifo.pop_front(), 649);
+  EXPECT_EQ(fifo.capacity(), 0u);
+  // A queue within the retained size keeps its buffer when it drains.
+  for (int k = 0; k < 9; ++k) fifo.push_back(k);
+  while (!fifo.empty()) fifo.pop_front();
+  EXPECT_EQ(fifo.capacity(), Fifo<int>::kRetained);
+}
+
+TEST(ChannelQueue, CloneOfWrappedChannelsDeliversTheSameTrace) {
+  auto net = PulseNetwork::ring(3);
+  for (NodeId v = 0; v < 3; ++v) {
+    net.set_automaton(v, std::make_unique<Relay>(60));
+  }
+  net.start_all();
+  // Walk each channel's head part-way round its buffer, then queue more
+  // behind it, so the clone copies channels whose items wrap.
+  for (std::size_t c = 0; c < net.channel_count(); ++c) {
+    for (std::size_t k = 0; k < 3 + c; ++k) net.inject_fault(c);
+    for (std::size_t k = 0; k < 2 + c; ++k) net.deliver_step(c);
+    for (std::size_t k = 0; k < 3; ++k) net.inject_fault(c);
+  }
+  net.duplicate_fault(2);
+  auto fork = net.clone();
+  // Global FIFO follows the items' send seqs, so it sees their order.
+  auto traced = [](PulseNetwork& n) {
+    RunOptions opts;
+    TraceRecorder trace;
+    trace.attach(n, opts);
+    GlobalFifoScheduler scheduler;
+    const RunReport report = n.run(scheduler, opts);
+    n.set_send_observer({});  // the recorder dies with this frame
+    EXPECT_TRUE(report.quiescent);
+    return trace.events();
+  };
+  const auto original = traced(net);
+  EXPECT_FALSE(original.empty());
+  EXPECT_EQ(traced(fork), original);
+  EXPECT_TRUE(fork.counters() == net.counters());
+}
+
+TEST(ChannelQueue, CloneCopiesWrappedItemsInOrder) {
+  auto net = Network<NumberedMsg>::ring(2);
+  net.set_automaton(0, std::make_unique<NumberSource>(0));
+  net.set_automaton(1, std::make_unique<NumberSink>());
+  net.start_all();
+  for (int k = 0; k < 3; ++k) {
+    net.inject_fault(0, NumberedMsg{-1});
+    net.deliver_step(0);
+  }
+  for (int k = 0; k < 4; ++k) net.inject_fault(0, NumberedMsg{k});  // wraps
+  auto fork = net.clone();
+  for (auto* n : {&net, &fork}) {
+    while (n->channel_pending(0) != 0) n->deliver_step(0);
+    EXPECT_EQ(n->automaton_as<NumberSink>(1).received(),
+              (std::vector<int>{-1, -1, -1, 0, 1, 2, 3}));
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // hand-crafted ChannelView sets plus end-to-end determinism checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
 #include <set>
 
@@ -14,6 +16,7 @@
 #include "sim/trace.hpp"
 #include "util/contracts.hpp"
 #include "util/ids.hpp"
+#include "util/rng.hpp"
 
 namespace colex::sim {
 namespace {
@@ -467,6 +470,180 @@ TEST(IncrementalProtocol, ExceptionMidRunLeavesIndexingMode) {
   net.drop_fault(net.pending_channels().front());
   net.inject_fault(0);
   EXPECT_EQ(counter.heads, reported);
+}
+
+// ---------------------------------------------------------------------------
+// GlobalFifo's head window against its own view path, driven straight
+// through the protocol by streams of heads that no election produces.
+// ---------------------------------------------------------------------------
+
+/// Channels as queues of send seqs, with the network's head rules: a send
+/// or a delivery reports the head it changes, a duplicate queues its copy
+/// behind the head and reports nothing. Every delivery asks pick_indexed
+/// and checks it against pick(views) over the same heads.
+class HeadStream {
+ public:
+  HeadStream(std::size_t channels, std::uint64_t first_seq)
+      : queues_(channels), next_seq_(first_seq) {
+    restart();
+  }
+
+  /// A new run on the same channels: begin_index, then every busy head.
+  void restart() {
+    rebuilds_ += fifo_.rebuilds();
+    EXPECT_TRUE(fifo_.begin_index(queues_.size()));
+    for (std::size_t c = 0; c < queues_.size(); ++c) {
+      if (!queues_[c].empty()) report(c);
+    }
+  }
+
+  void send(std::size_t c) {
+    queues_[c].push_back(next_seq_++);
+    if (queues_[c].size() == 1) report(c);
+  }
+
+  /// The next send gets a seq `gap` further on, as if others went between.
+  void skip(std::uint64_t gap) { next_seq_ += gap; }
+
+  void duplicate(std::size_t c) {
+    auto& q = queues_[c];
+    q.insert(q.begin() + 1, next_seq_++);
+  }
+
+  void drop(std::size_t c) {
+    queues_[c].pop_front();
+    report(c);
+  }
+
+  /// One delivery: false once the picks disagree.
+  bool deliver() {
+    std::vector<std::size_t> busy;
+    std::vector<ChannelView> views;
+    for (std::size_t c = 0; c < queues_.size(); ++c) {
+      if (queues_[c].empty()) continue;
+      busy.push_back(c);
+      views.push_back(view_of(c));
+    }
+    if (busy.empty()) return true;
+    const std::size_t indexed = fifo_.pick_indexed(busy);
+    const std::size_t expected = GlobalFifoScheduler().pick(views);
+    EXPECT_EQ(indexed, expected) << "pick " << picks_;
+    ++picks_;
+    if (indexed != expected) return false;
+    drop(indexed);
+    return true;
+  }
+
+  bool busy(std::size_t c) const { return !queues_[c].empty(); }
+  bool idle() const {
+    return std::all_of(queues_.begin(), queues_.end(),
+                       [](const auto& q) { return q.empty(); });
+  }
+  std::uint64_t picks() const { return picks_; }
+  std::uint64_t rebuilds() const { return rebuilds_ + fifo_.rebuilds(); }
+
+ private:
+  ChannelView view_of(std::size_t c) const {
+    const auto& q = queues_[c];
+    return ChannelView{c, q.size(), q.empty() ? 0 : q.front(), 0,
+                       Direction::cw};
+  }
+  void report(std::size_t c) { fifo_.head_changed(view_of(c)); }
+
+  GlobalFifoScheduler fifo_;
+  std::vector<std::deque<std::uint64_t>> queues_;
+  std::uint64_t next_seq_;
+  std::uint64_t picks_ = 0;
+  std::uint64_t rebuilds_ = 0;
+};
+
+TEST(GlobalFifoWindow, MatchesTheViewPathOnRandomHeadStreams) {
+  std::uint64_t picks = 0, rebuilds = 0;
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    util::Xoshiro256StarStar rng(seed);
+    // 1 to 40 channels: the window's 64 slots are at most a few heads wide
+    // or many times more.
+    const std::size_t channels = 1 + rng.below(40);
+    const std::uint64_t first_seq =
+        rng.bernoulli(0.5) ? 0 : rng.below(std::uint64_t{1} << 40);
+    HeadStream stream(channels, first_seq);
+    for (int step = 0; step < 600; ++step) {
+      const std::size_t c = rng.below(channels);
+      const std::uint64_t op = rng.below(100);
+      if (op < 40) {
+        stream.send(c);
+      } else if (op < 80) {
+        ASSERT_TRUE(stream.deliver()) << "seed " << seed;
+      } else if (op < 88) {
+        if (stream.busy(c)) stream.duplicate(c);  // older pulses fall behind
+      } else if (op < 93) {
+        if (stream.busy(c)) stream.drop(c);
+      } else if (op < 97) {
+        stream.skip(rng.below(1000));  // far past the window
+      } else if (op < 99) {
+        stream.restart();  // a second run: seqs do not start at 0
+      } else {
+        // Drain, then refill the emptied window at a high seq.
+        while (!stream.idle()) ASSERT_TRUE(stream.deliver()) << "seed " << seed;
+        stream.skip(rng.below(std::uint64_t{1} << 30));
+      }
+    }
+    while (!stream.idle()) ASSERT_TRUE(stream.deliver()) << "seed " << seed;
+    picks += stream.picks();
+    rebuilds += stream.rebuilds();
+  }
+  EXPECT_GT(picks, 300'000u);
+  EXPECT_GT(rebuilds, 1'000u);  // the out-of-window branches ran
+}
+
+TEST(GlobalFifoWindow, HeadBelowTheBaseRebuilds) {
+  // Channel 0 holds seqs 0 and 2. A duplicate queues its copy, seq 3,
+  // behind the head, and channel 1 holds 1 and 4. Once 0, 1 and 3 have
+  // delivered, seq 2 is a head below the base while 4 is still live.
+  HeadStream stream(2, 0);
+  stream.send(0);
+  stream.send(1);
+  stream.send(0);
+  stream.duplicate(0);
+  stream.send(1);
+  for (int k = 0; k < 3; ++k) ASSERT_TRUE(stream.deliver());
+  EXPECT_EQ(stream.rebuilds(), 1u);
+  for (int k = 0; k < 2; ++k) ASSERT_TRUE(stream.deliver());
+  EXPECT_TRUE(stream.idle());
+}
+
+TEST(GlobalFifoWindow, HeadFarPastTheWindowGrowsIt) {
+  HeadStream stream(2, 0);
+  stream.send(0);
+  stream.skip(1'000'000);  // far past the 64-slot window
+  stream.send(1);
+  EXPECT_EQ(stream.rebuilds(), 1u);
+  stream.send(0);
+  stream.send(1);
+  for (int k = 0; k < 4; ++k) ASSERT_TRUE(stream.deliver());
+  EXPECT_EQ(stream.rebuilds(), 1u);  // the grown window covered the rest
+  EXPECT_TRUE(stream.idle());
+}
+
+TEST(GlobalFifoWindow, EmptiedWindowRefillsAtAHighSeqWithoutRebuild) {
+  HeadStream stream(3, 1'000'000'000'000);  // not starting at 0 either
+  stream.send(2);
+  ASSERT_TRUE(stream.deliver());
+  stream.skip(std::uint64_t{1} << 40);
+  stream.send(1);
+  stream.send(0);
+  for (int k = 0; k < 2; ++k) ASSERT_TRUE(stream.deliver());
+  EXPECT_EQ(stream.rebuilds(), 0u);
+}
+
+TEST(GlobalFifoWindow, FaultFreeElectionsNeverRebuild) {
+  // Delivery in send order keeps every head inside the window.
+  for (const std::size_t n : {64u, 1024u}) {
+    auto net = make_ring(Alg::alg2, util::shuffled(util::dense_ids(n), 7));
+    GlobalFifoScheduler fifo;
+    ASSERT_TRUE(net.run(fifo).quiescent);
+    EXPECT_EQ(fifo.rebuilds(), 0u) << "n=" << n;
+  }
 }
 
 }  // namespace
