@@ -10,11 +10,12 @@
 //    blows the per-size time budget. That last completed size is the
 //    baseline's max practical ring.
 //  * Coroutine sweep — the identical workload at n = 10^4, 10^5, 10^6.
-//  * Worker sweep — Algorithm 2, unique dense IDs in ring order, at
-//    n = 10^4 once per worker count W: W ∈ {1, 2} (smoke) or W = 1..the
-//    usable CPUs, median of 3 (full). Each W records its seconds, pulses/s
-//    and the executor's resumes, wakeups, deferred pulses, yields, steals
-//    and worker parks.
+//  * Worker sweeps — Algorithm 2 once per worker count W: W ∈ {1, 2}
+//    (smoke) or W = 1..the usable CPUs, median of 3 (full), on two shapes:
+//    n = 10^4 with IDs 1..n in ring order, and perfbench's coro-ring shape,
+//    n = 4000 with IDs a seeded shuffle of 1..4000. Each W records its
+//    seconds (with min/max in full mode), pulses/s and the executor's
+//    resumes, wakeups, deferred pulses, yields, steals and worker parks.
 //  * The acceptance election (full mode) — Algorithm 2 at n = 10^5 with
 //    --workers: n(2·IDmax+1) ≈ 2·10^10 pulses, completed in one process
 //    with the exact Theorem 1 count.
@@ -22,12 +23,14 @@
 // Gates (all recorded in BENCH_E16.json): the coroutine runtime reaches
 // ≥10× ThreadRing's max ring size (smoke: ≥2×), at ≥2× its nodes/sec;
 // every Algorithm 2 election completes with the exact pulse count and the
-// max-ID leader; and pulses/s does not decrease as W grows (smoke: W=2 is
-// not slower than W=1). With fewer than 2 usable CPUs the worker gate is
-// recorded as skipped. Peak RSS is sampled (getrusage ru_maxrss) after
-// each phase; ThreadRing runs first so its peak is unpolluted, and the
-// coro phases report the running process maximum (equal to their own peak
-// whenever they are the high-water mark).
+// max-ID leader; and on the ring-order shape pulses/s does not decrease
+// as W grows (smoke: W=2 is not slower than W=1), while on the shuffled
+// shape W=2 is not slower than W=1 (higher W are recorded, not gated: at
+// n = 4000 the fourth worker can read below the third). With fewer than 2
+// usable CPUs the worker gate is recorded as skipped. Peak RSS is sampled
+// (getrusage ru_maxrss) after each phase; ThreadRing runs first so its
+// peak is unpolluted, and the coro phases report the running process
+// maximum (equal to their own peak whenever they are the high-water mark).
 //
 // Flags: --smoke (CI-sized: sweeps capped, no 10^5 election), --workers N
 // (executor workers for the Algorithm 1 sweep and the 10^5 election,
@@ -40,7 +43,6 @@
 #include <cstring>
 #include <iostream>
 #include <mutex>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,6 +50,7 @@
 #include "bench_common.hpp"
 #include "coro/run.hpp"
 #include "runtime/blocking_algs.hpp"
+#include "util/ids.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -155,8 +158,8 @@ SweepRow coro_sweep_run(std::size_t n, std::size_t workers,
   return row_from(n, r.completed, r.leader_count, r.pulses, timer.seconds());
 }
 
-/// One Algorithm 2 election on IDs 1..n in ring order. `exact` holds when
-/// it lands Theorem 1's n(2n+1) pulses with node n-1 as the only leader.
+/// One Algorithm 2 election. `exact` holds when it lands Theorem 1's
+/// n(2·IDmax+1) pulses with the max-ID node as the only leader.
 struct Alg2Run {
   std::size_t n = 0;
   std::size_t workers = 0;
@@ -170,9 +173,7 @@ struct Alg2Run {
   }
 };
 
-Alg2Run alg2_run(std::size_t n, std::size_t workers) {
-  std::vector<std::uint64_t> ids(n);
-  std::iota(ids.begin(), ids.end(), 1);
+Alg2Run alg2_run(const std::vector<std::uint64_t>& ids, std::size_t workers) {
   coro::CoroRunOptions options;
   options.workers = workers;
   options.timeout_ms = 3'600'000;
@@ -180,14 +181,75 @@ Alg2Run alg2_run(std::size_t n, std::size_t workers) {
   const coro::CoroRunResult r =
       coro::run_on_coro(ids, {}, rt::ThreadAlg::alg2, options);
   Alg2Run run;
-  run.n = n;
+  run.n = ids.size();
   run.workers = workers;
   run.seconds = timer.seconds();
   run.pulses = r.pulses;
   run.stats = r.stats;
-  run.exact = r.completed && r.leader_count == 1 && r.leader == n - 1 &&
-              r.pulses == rt::pulse_bound(rt::ThreadAlg::alg2, n, n);
+  const auto max_it = std::max_element(ids.begin(), ids.end());
+  run.exact = r.completed && r.leader_count == 1 &&
+              r.leader == static_cast<std::size_t>(max_it - ids.begin()) &&
+              r.pulses == rt::pulse_bound(rt::ThreadAlg::alg2, run.n, *max_it);
   return run;
+}
+
+/// One worker count of a sweep: the median run by wall time, plus the
+/// fastest and slowest run's seconds.
+struct SweepPoint {
+  Alg2Run median;
+  double seconds_min = 0.0;
+  double seconds_max = 0.0;
+};
+
+/// Runs Algorithm 2 on `ids` `repeats` times per worker count W = 1..
+/// `max_workers`; `all_exact` drops to false on any inexact run.
+std::vector<SweepPoint> worker_sweep(const std::vector<std::uint64_t>& ids,
+                                     std::size_t max_workers,
+                                     std::size_t repeats, bool& all_exact) {
+  std::vector<SweepPoint> points;
+  for (std::size_t w = 1; w <= max_workers; ++w) {
+    std::vector<Alg2Run> runs;
+    for (std::size_t k = 0; k < repeats; ++k) {
+      runs.push_back(alg2_run(ids, w));
+      all_exact = all_exact && runs.back().exact;
+    }
+    std::sort(runs.begin(), runs.end(),
+              [](const Alg2Run& a, const Alg2Run& b) {
+                return a.seconds < b.seconds;
+              });
+    points.push_back(SweepPoint{runs[runs.size() / 2], runs.front().seconds,
+                                runs.back().seconds});
+  }
+  return points;
+}
+
+/// True iff pulses/s never falls from one worker count to the next among
+/// the first `upto` points.
+bool non_decreasing(const std::vector<SweepPoint>& points, std::size_t upto) {
+  for (std::size_t i = 1; i < std::min(upto, points.size()); ++i) {
+    if (points[i].median.pulses_per_sec() <
+        points[i - 1].median.pulses_per_sec()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void print_sweep(const std::vector<SweepPoint>& points) {
+  util::Table table({"W", "seconds", "Mpulses/s", "resumes", "wakeups",
+                     "deferred", "yields", "steals", "parks", "exact"});
+  for (const SweepPoint& point : points) {
+    const Alg2Run& run = point.median;
+    const coro::ExecStats& st = run.stats;
+    table.add_row(
+        {std::to_string(run.workers), util::Table::fixed(run.seconds, 3),
+         util::Table::fixed(run.pulses_per_sec() / 1e6, 2),
+         std::to_string(st.resumes), std::to_string(st.wakeups),
+         std::to_string(st.deferred), std::to_string(st.yields),
+         std::to_string(st.steals), std::to_string(st.parks),
+         run.exact ? "yes" : "NO"});
+  }
+  table.print(std::cout);
 }
 
 bench::Json json_row(const char* runtime, const SweepRow& row) {
@@ -266,55 +328,35 @@ int main(int argc, char** argv) {
   }
   const double coro_peak_rss = peak_rss_mb();
 
-  // --- Phase 3: worker sweep — Algorithm 2 at n = 10^4 per worker count,
-  // the median of `repeats` runs by wall time. -------------------------
+  // --- Phase 3: worker sweeps — Algorithm 2 per worker count, the median
+  // of `repeats` runs by wall time, on IDs 1..10^4 in ring order and on
+  // coro-ring's shape (a seeded shuffle of 1..4000). ---------------------
   constexpr std::size_t kSweepN = 10'000;
+  constexpr std::size_t kShuffledN = 4'000;
+  constexpr std::uint64_t kShuffleSeed = 1;
   const std::size_t cpus = util::usable_cpus();
   const std::size_t max_workers = smoke ? 2 : cpus;
   const std::size_t repeats = smoke ? 1 : 3;
-  std::vector<Alg2Run> worker_rows;
-  std::vector<std::pair<double, double>> worker_spread;  // seconds min, max
   bool alg2_ok = true;
-  for (std::size_t w = 1; w <= max_workers; ++w) {
-    std::vector<Alg2Run> runs;
-    for (std::size_t k = 0; k < repeats; ++k) {
-      runs.push_back(alg2_run(kSweepN, w));
-      alg2_ok = alg2_ok && runs.back().exact;
-    }
-    std::sort(runs.begin(), runs.end(),
-              [](const Alg2Run& a, const Alg2Run& b) {
-                return a.seconds < b.seconds;
-              });
-    worker_rows.push_back(runs[runs.size() / 2]);
-    worker_spread.emplace_back(runs.front().seconds, runs.back().seconds);
-  }
-  util::Table sweep_table({"W", "seconds", "Mpulses/s", "resumes", "wakeups",
-                           "deferred", "yields", "steals", "parks", "exact"});
-  for (const Alg2Run& run : worker_rows) {
-    const coro::ExecStats& st = run.stats;
-    sweep_table.add_row(
-        {std::to_string(run.workers), util::Table::fixed(run.seconds, 3),
-         util::Table::fixed(run.pulses_per_sec() / 1e6, 2),
-         std::to_string(st.resumes), std::to_string(st.wakeups),
-         std::to_string(st.deferred), std::to_string(st.yields),
-         std::to_string(st.steals), std::to_string(st.parks),
-         run.exact ? "yes" : "NO"});
-  }
-  // More workers must never lower the pulse rate. One usable CPU cannot
-  // tell: the workers would time-slice a single core.
+  const std::vector<SweepPoint> ring_sweep =
+      worker_sweep(util::dense_ids(kSweepN), max_workers, repeats, alg2_ok);
+  const std::vector<SweepPoint> shuffled_sweep = worker_sweep(
+      util::shuffled(util::dense_ids(kShuffledN), kShuffleSeed), max_workers,
+      repeats, alg2_ok);
+  // More workers must never lower the ring-order pulse rate, and a second
+  // worker must not lower the shuffled one. One usable CPU cannot tell: the
+  // workers would time-slice a single core.
   const bool workers_skipped = cpus < 2;
-  bool workers_ok = true;
-  for (std::size_t i = 1; i < worker_rows.size(); ++i) {
-    workers_ok = workers_ok && worker_rows[i].pulses_per_sec() >=
-                                   worker_rows[i - 1].pulses_per_sec();
-  }
-  workers_ok = workers_ok || workers_skipped;
+  const bool ring_workers_ok = non_decreasing(ring_sweep, ring_sweep.size());
+  const bool shuffled_workers_ok = non_decreasing(shuffled_sweep, 2);
+  const bool workers_ok =
+      (ring_workers_ok && shuffled_workers_ok) || workers_skipped;
 
   // --- Phase 4 (full mode): the acceptance election — Algorithm 2 at
   // n = 10^5, exactly n(2·IDmax+1) pulses end to end in one process. ----
   Alg2Run alg2;
   if (!smoke) {
-    alg2 = alg2_run(100'000, workers);
+    alg2 = alg2_run(util::dense_ids(100'000), workers);
     alg2_ok = alg2_ok && alg2.exact;
     table.add_row({"coro-alg2", std::to_string(alg2.n),
                    std::to_string(alg2.pulses),
@@ -326,11 +368,17 @@ int main(int argc, char** argv) {
   }
   const double final_peak_rss = peak_rss_mb();
   table.print(std::cout);
-  std::cout << "\nAlgorithm 2 worker sweep, n=" << kSweepN << ", "
-            << (repeats > 1 ? "median of " + std::to_string(repeats) + " runs"
-                            : std::string("one run"))
-            << " per W (" << cpus << " usable CPUs):\n";
-  sweep_table.print(std::cout);
+  const std::string per_w =
+      (repeats > 1 ? "median of " + std::to_string(repeats) + " runs"
+                   : std::string("one run")) +
+      " per W (" + std::to_string(cpus) + " usable CPUs)";
+  std::cout << "\nAlgorithm 2 worker sweep, n=" << kSweepN
+            << ", IDs in ring order, " << per_w << ":\n";
+  print_sweep(ring_sweep);
+  std::cout << "\nAlgorithm 2 worker sweep, n=" << kShuffledN
+            << ", shuffled IDs (seed " << kShuffleSeed << "), " << per_w
+            << ":\n";
+  print_sweep(shuffled_sweep);
 
   // --- Gates. ----------------------------------------------------------
   const double capacity_factor =
@@ -360,18 +408,22 @@ int main(int argc, char** argv) {
             << util::Table::fixed(speed_factor, 1) << "x (gate >= 2x)\n"
             << "alg2 elections: " << (alg2_ok ? "all exact" : "FAILED")
             << "\n"
-            << "worker gate (pulses/s non-decreasing in W): "
-            << (workers_skipped ? "skipped, fewer than 2 usable CPUs"
-                                : (workers_ok ? "ok" : "FAILED"))
+            << "worker gate (ring order: pulses/s non-decreasing in W; "
+               "shuffled: W=2 not below W=1): "
+            << (workers_skipped
+                    ? std::string("skipped, fewer than 2 usable CPUs")
+                    : std::string(ring_workers_ok ? "ok" : "FAILED") + ", " +
+                          (shuffled_workers_ok ? "ok" : "FAILED"))
             << "\n";
 
   for (const SweepRow& row : tr_rows) report.add_result(json_row("threadring", row));
   for (const SweepRow& row : coro_rows) report.add_result(json_row("coro", row));
-  auto alg2_json = [](const Alg2Run& run) {
+  auto alg2_json = [](const Alg2Run& run, const char* ids) {
     bench::Json j = bench::Json::object();
     j.set("runtime", "coro")
         .set("algorithm", "alg2")
         .set("n", static_cast<std::uint64_t>(run.n))
+        .set("ids", ids)
         .set("workers", static_cast<std::uint64_t>(run.workers))
         .set("exact", run.exact)
         .set("pulses", run.pulses)
@@ -385,15 +437,19 @@ int main(int argc, char** argv) {
         .set("parks", run.stats.parks);
     return j;
   };
-  if (!smoke) report.add_result(alg2_json(alg2));
-  bench::Json sweep = bench::Json::array();
-  for (std::size_t i = 0; i < worker_rows.size(); ++i) {
-    bench::Json row = alg2_json(worker_rows[i]);
-    row.set("repeats", static_cast<std::uint64_t>(repeats))
-        .set("seconds_min", worker_spread[i].first)
-        .set("seconds_max", worker_spread[i].second);
-    sweep.push(std::move(row));
-  }
+  if (!smoke) report.add_result(alg2_json(alg2, "ring-order"));
+  auto sweep_json = [&](const std::vector<SweepPoint>& points,
+                        const char* ids) {
+    bench::Json sweep = bench::Json::array();
+    for (const SweepPoint& point : points) {
+      bench::Json row = alg2_json(point.median, ids);
+      row.set("repeats", static_cast<std::uint64_t>(repeats))
+          .set("seconds_min", point.seconds_min)
+          .set("seconds_max", point.seconds_max);
+      sweep.push(std::move(row));
+    }
+    return sweep;
+  };
 
   const bool ok =
       capacity_ok && speed_ok && sweeps_exact && alg2_ok && workers_ok;
@@ -411,7 +467,10 @@ int main(int argc, char** argv) {
       .set("required_capacity_factor", required_capacity)
       .set("nodes_per_sec_factor", speed_factor)
       .set("alg2_ok", alg2_ok)
-      .set_json("worker_sweep", std::move(sweep))
+      .set_json("worker_sweep", sweep_json(ring_sweep, "ring-order"))
+      .set("shuffle_seed", kShuffleSeed)
+      .set_json("worker_sweep_shuffled",
+                sweep_json(shuffled_sweep, "shuffled"))
       .set("gate_capacity_ok", capacity_ok)
       .set("gate_speed_ok", speed_ok)
       .set("gate_workers_skipped", workers_skipped)

@@ -98,12 +98,14 @@ run_soak_smoke() {
   echo "$summary" | grep -q '"ok":true'
 }
 
-# Coroutine-runtime smoke: bench_e16_coro --smoke runs a 10^4-node election
-# on the coroutine executor with 1 and with 2 workers next to a ThreadRing
-# capacity sweep and writes BENCH_E16.json; the gates checked on the
-# artifact are >=2x ThreadRing's max ring size AND >=2x its nodes/sec,
-# 2 workers no slower than 1, with every election landing the exact paper
-# pulse count.
+# Coroutine-runtime smoke: bench_e16_coro --smoke runs Algorithm 2 on the
+# coroutine executor with 1 and with 2 workers on two shapes, a 10^4-node
+# ring with IDs in ring order and perfbench's coro-ring shape (n=4000,
+# shuffled IDs), next to a ThreadRing capacity sweep, and writes
+# BENCH_E16.json; the gates checked on the artifact are >=2x ThreadRing's
+# max ring size AND >=2x its nodes/sec, 2 workers no slower than 1 on
+# both shapes (gate_workers_ok), with every election landing the exact
+# paper pulse count.
 run_coro_smoke() {
   local dir="$1" label="$2"
   echo "==> [$label] coro smoke: bench_e16_coro --smoke"

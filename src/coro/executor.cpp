@@ -64,6 +64,7 @@ void Executor::run_node(ExecContext& ctx, std::uint32_t v) {
   // worker may already be resuming (or have finished) the frame.
   if (ctx.suspended) return;
   COLEX_ASSERT(nd.handle.done());
+  settle_sends(ctx, v);
   nd.state.store(NodeState::done, std::memory_order_seq_cst);
   if (done_count_.fetch_add(1, std::memory_order_seq_cst) + 1 ==
       nodes_.size()) {
@@ -165,6 +166,7 @@ void Executor::drain() {
     nd.state.store(NodeState::running, std::memory_order_seq_cst);
     nd.handle.resume();
     COLEX_ASSERT(nd.handle.done());
+    settle_sends(ctx, v);
     nd.state.store(NodeState::done, std::memory_order_seq_cst);
     done_count_.fetch_add(1, std::memory_order_seq_cst);
     ++drained;

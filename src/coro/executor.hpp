@@ -22,31 +22,50 @@
 // CCW only once rho_cw >= ID, and its initiated wait reads CCW only) waits
 // in its channel until the node polls that port of its own accord.
 //
-// Sleep/wake protocol (per node, Dekker-style, all seq_cst)
-// ---------------------------------------------------------
+// Sleep/wake protocol (per node, Dekker-style)
+// --------------------------------------------
 //   consumer (the node, in await_suspend):   producer (a neighbor's send):
-//     state <- PARKED(wanted)                  channel[q].produced += 1
-//     re-check wanted channels / stop          s <- state
+//     state <- PARKED(wanted)     seq_cst      channel[q].produced += 1
+//     re-check wanted channels    seq_cst        (plain release store)
+//       and stop                               s <- state       (relaxed)
 //     if pulse or stop:                        if s is PARKED(w), q in w,
-//       if CAS(PARKED(wanted)->RUNNING):          and CAS(s->READY):
-//         resume inline (return false)            push node to own deque
-//     stay suspended (return true)             // else the pulse rides an
-//                                              // existing wakeup (READY/
-//                                              // RUNNING: batched), waits
-//                                              // for a later poll (PARKED
-//                                              // on other ports: deferred)
-//                                              // or is swallowed (DONE)
+//       if CAS(PARKED(wanted)->RUNNING):         and CAS(s->READY): wake
+//         resume inline (return false)         else unsettled[q] += 1
+//     stay suspended (return true)
+//                                            producer's settle, once per
+//                                            resume (k = unsettled[q] > 0):
+//                                              channel[q].produced += 0
+//                                                (seq_cst RMW)
+//                                              s <- state       (seq_cst)
+//                                              if s is PARKED(w), q in w,
+//                                                and CAS(s->READY): wake
+//                                                (1 wakeup, k-1 batched)
+//                                              else the k pulses ride an
+//                                              existing wakeup (READY or
+//                                              RUNNING: batched), wait for a
+//                                              later poll (PARKED on other
+//                                              ports: deferred) or are
+//                                              swallowed (DONE)
+//   wake: push the node to the producer's own deque.
 //
-// seq_cst makes the two stores and two loads a Dekker pair: either the
-// consumer's re-check sees the new pulse, or the producer's load sees
-// PARKED(wanted) — a pulse on a wanted port can never slip between the
-// consumer's last empty poll and its suspension (no lost wakeup). The CAS
-// claims the wakeup exactly once, so a node is never double-resumed;
-// pulses that arrive while the node is already READY coalesce into the
-// pending wakeup (batched wakeups — counted, and harmless to the fault
-// model because pulses are fungible: consuming k batched pulses one recv()
-// at a time is indistinguishable from k separate wakeups). Every send is
-// counted exactly once: sent == wakeups + batched + deferred + swallowed.
+// Every pulse is visible the moment it is sent: a channel has one
+// producer, so the deposit is a plain store, and a send that sees its
+// receiver parked on that port wakes it at once. The lost-wakeup check is
+// paid once per resume, not once per pulse: before the sending node parks,
+// yields or returns (and after each drain resume), settle_sends() makes
+// one seq_cst RMW on each channel it sent on and then one seq_cst load of
+// that receiver's state. With the consumer's seq_cst PARKED store and
+// re-check that is a Dekker pair: either the re-check sees the pulses, or
+// the settle sees PARKED(wanted) and claims the wakeup. A stale relaxed
+// read at send time therefore only delays a wakeup to the sender's settle,
+// and a successful eager CAS is seq_cst, so the woken node sees the store
+// before it runs. The CAS claims each wakeup exactly once, so a node is
+// never double-resumed; pulses that arrive while the node is already READY
+// coalesce into the pending wakeup (batched wakeups — counted, and harmless
+// to the fault model because pulses are fungible: consuming k batched
+// pulses one recv() at a time is indistinguishable from k separate
+// wakeups). Every send is booked exactly once, by the eager CAS or by the
+// settle: sent == wakeups + batched + deferred + swallowed.
 //
 // Yields
 // ------
@@ -81,7 +100,8 @@
 // by done_count == n at the moment the last node returns. A pulse sent to
 // an already-terminated node is swallowed but counted consumed (same
 // convention as ThreadRing's crashed-node swallow), keeping the
-// conservation argument sound.
+// conservation argument sound; the sender books it when it settles, which
+// is before its worker can go idle.
 //
 // The driver thread is the stall watchdog: it waits on a completion cv
 // with the ThreadRing monitor's sampling cadence, records a ProgressTracker
@@ -183,45 +203,28 @@ class Executor {
   bool recv_pulse(std::uint32_t v, sim::Port p) {
     auto& nd = nodes_[v];
     if (!nd.in[sim::index(p)].try_consume()) {
-      nd.polled_empty |= static_cast<PortMask>(1u << sim::index(p));
+      nd.polled_empty |= port_bit(sim::index(p));
       return false;
     }
     bump(current_->stats->consumed);
     return true;
   }
 
+  /// Deposits one pulse (a plain store: node `v` is the channel's only
+  /// producer). A receiver seen parked on that port is woken at once; any
+  /// other pulse stays unsettled until settle_sends() — see the file header.
   void send_pulse(std::uint32_t v, sim::Port p) {
-    auto& src = nodes_[v];
-    const std::uint32_t to = src.peer[sim::index(p)];
-    const std::uint8_t port = src.peer_port[sim::index(p)];
-    auto& dst = nodes_[to];
-    dst.in[port].produce();  // seq_cst deposit
-    auto& stats = *current_->stats;
-    bump(stats.sent);
-    NodeState seen = dst.state.load(std::memory_order_seq_cst);
-    if ((wanted_ports(seen) & static_cast<PortMask>(1u << port)) != 0 &&
-        dst.state.compare_exchange_strong(seen, NodeState::ready,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_seq_cst)) {
-      // We own the wakeup: exactly one push per PARKED->READY transition.
-      ready_count_.fetch_add(1, std::memory_order_seq_cst);
-      current_->deque->push(to);
-      bump(stats.wakeups);
-      if (idle_workers_.load(std::memory_order_seq_cst) != 0) {
-        wake_one_worker();
-      }
-    } else if (seen == NodeState::done) {
-      // Swallowed (receiver terminated): total_consumed() counts these so
-      // conservation-based quiescence stays sound — mirror of ThreadRing's
-      // crashed-node convention.
-      bump(stats.swallowed);
-    } else if (is_parked(seen)) {
-      // Parked on the other port only: the pulse waits in its channel
-      // until the node polls this port of its own accord.
-      bump(stats.deferred);
-    } else {
-      // READY or RUNNING: the pulse rides the receiver's existing wakeup.
-      bump(stats.batched);
+    const int i = sim::index(p);
+    const auto& src = nodes_[v];
+    auto& dst = nodes_[src.peer[i]];
+    const std::uint8_t port = src.peer_port[i];
+    dst.in[port].produce();
+    ExecContext& ctx = *current_;
+    bump(ctx.stats->sent);
+    NodeState seen = dst.state.load(std::memory_order_relaxed);
+    if ((wanted_ports(seen) & port_bit(port)) == 0 ||
+        !claim_wakeup(ctx, src.peer[i], seen)) {
+      ++ctx.unsettled[i];
     }
   }
 
@@ -261,6 +264,7 @@ class Executor {
       const std::uint32_t self = v;
       auto& nd = e->nodes_[self];
       ExecContext& ctx = *current_;
+      e->settle_sends(ctx, self);
       const PortMask wanted =
           nd.polled_empty != 0 ? nd.polled_empty : kBothPorts;
       nd.polled_empty = 0;
@@ -318,9 +322,10 @@ class Executor {
     std::atomic<std::uint64_t> yields{0};
   };
 
-  /// Adds one to a counter only the calling thread writes.
-  static void bump(std::atomic<std::uint64_t>& counter) {
-    counter.store(counter.load(std::memory_order_relaxed) + 1,
+  /// Adds `by` to a counter only the calling thread writes.
+  static void bump(std::atomic<std::uint64_t>& counter,
+                   std::uint64_t by = 1) {
+    counter.store(counter.load(std::memory_order_relaxed) + by,
                   std::memory_order_relaxed);
   }
 
@@ -329,14 +334,71 @@ class Executor {
   /// slot the thread owns. Workers install one on entry; the driver
   /// installs its own for the post-stop drain. `suspended` is set by
   /// wait_any once the running node may belong to another thread.
+  /// `unsettled[p]` counts the running node's sends on its port p that
+  /// settle_sends() has not booked yet; it is zero between resumes.
   struct ExecContext {
     WorkerStats* stats;
     WorkDeque* deque;
     YieldQueue* yields;
     std::size_t index;
     bool suspended = false;
+    std::uint64_t unsettled[2] = {0, 0};
   };
   static thread_local ExecContext* current_;
+
+  /// CAS(seen -> READY) on node `to`; on success pushes it to the context's
+  /// deque, counts the wakeup and rouses an idle worker. On failure `seen`
+  /// holds the state the CAS found.
+  bool claim_wakeup(ExecContext& ctx, std::uint32_t to, NodeState& seen) {
+    if (!nodes_[to].state.compare_exchange_strong(
+            seen, NodeState::ready, std::memory_order_seq_cst,
+            std::memory_order_seq_cst)) {
+      return false;
+    }
+    // We own the wakeup: exactly one push per PARKED->READY transition.
+    ready_count_.fetch_add(1, std::memory_order_seq_cst);
+    ctx.deque->push(to);
+    bump(ctx.stats->wakeups);
+    if (idle_workers_.load(std::memory_order_seq_cst) != 0) {
+      wake_one_worker();
+    }
+    return true;
+  }
+
+  /// Books node `v`'s unsettled sends: per port, one seq_cst RMW on the
+  /// channel and one seq_cst load of the receiver's state (the producer
+  /// half of the Dekker pair in the file header). Runs before the node
+  /// parks, yields or returns, so no pulse is left unsettled between
+  /// resumes.
+  void settle_sends(ExecContext& ctx, std::uint32_t v) {
+    for (int i = 0; i < 2; ++i) {
+      const std::uint64_t k = ctx.unsettled[i];
+      if (k == 0) continue;
+      ctx.unsettled[i] = 0;
+      const std::uint32_t to = nodes_[v].peer[i];
+      const std::uint8_t port = nodes_[v].peer_port[i];
+      auto& dst = nodes_[to];
+      dst.in[port].settle();
+      NodeState seen = dst.state.load(std::memory_order_seq_cst);
+      WorkerStats& stats = *ctx.stats;
+      if ((wanted_ports(seen) & port_bit(port)) != 0 &&
+          claim_wakeup(ctx, to, seen)) {
+        bump(stats.batched, k - 1);  // the rest ride the wakeup just made
+      } else if (seen == NodeState::done) {
+        // Swallowed (receiver terminated): total_consumed() counts these so
+        // conservation-based quiescence stays sound — mirror of ThreadRing's
+        // crashed-node convention.
+        bump(stats.swallowed, k);
+      } else if (is_parked(seen)) {
+        // Parked on the other port only: the pulses wait in their channel
+        // until the node polls this port of its own accord.
+        bump(stats.deferred, k);
+      } else {
+        // READY or RUNNING: the pulses ride the receiver's existing wakeup.
+        bump(stats.batched, k);
+      }
+    }
+  }
 
   void worker_main(std::size_t w);
   void run_node(ExecContext& ctx, std::uint32_t v);

@@ -27,6 +27,10 @@ namespace colex::coro {
 /// Bit set of a node's two ports: bit i is port label i.
 using PortMask = std::uint8_t;
 inline constexpr PortMask kBothPorts = 0b11;
+/// The mask holding port label `port` alone.
+constexpr PortMask port_bit(int port) {
+  return static_cast<PortMask>(1u << port);
+}
 
 /// Scheduler state of a node coroutine. A parked state names the ports
 /// whose pulses may wake the node (its low two bits). Transitions:

@@ -1,37 +1,28 @@
-// Lock-free single-producer/single-consumer channels for the coroutine
-// runtime (DESIGN.md "Coroutine runtime").
+// Single-producer/single-consumer pulse channels for the coroutine runtime
+// (DESIGN.md "Coroutine runtime").
 //
-// Two shapes share one idea:
+// The model's pulses are fully content-free (paper §2) and therefore
+// fungible, so the ring buffer of a zero-byte payload degenerates to its
+// produced/consumed counter pair alone. A channel never fills, never
+// allocates, and recv is a counter compare+bump.
 //
-//  * SpscRing<T>: a bounded power-of-two ring buffer with cache-line-padded
-//    producer/consumer counter pairs and cached remote indices (the producer
-//    only re-reads the consumer's head when the ring looks full, and vice
-//    versa), so steady-state push/pop touch a single cache line each.
-//  * PulseChannel: the model's pulses are fully content-free (paper §2) and
-//    therefore fungible — the "ring buffer" for a zero-byte payload
-//    degenerates to the produced/consumed counter pair alone. A channel
-//    never fills, never allocates, and recv is a counter compare+bump.
-//
-// Memory ordering: SpscRing uses the classic acquire/release pairing
-// (producer publishes the slot with a release store of tail; the consumer's
-// acquire load of tail makes the slot write visible, and symmetrically for
-// head). PulseChannel's produced counter is written seq_cst because it
-// participates in the runtime's Dekker-style sleep/wake protocol with the
-// receiving node's state word (see coro/executor.hpp): the producer's
-// counter bump must be globally ordered against the consumer's PARKED
-// store, or a pulse could slip in unnoticed between the consumer's last
-// empty poll and its suspension — the classic lost wakeup. The consumed
-// counter is only ever touched by the owning node's coroutine (one thread
-// at a time, handed off through the executor's deques), so relaxed loads
-// and stores suffice there.
+// Memory ordering: exactly one node sends on a channel and one node reads
+// it, and each side's successive resumes are ordered by the executor's
+// state word and deque hand-offs. So produce() is a relaxed load plus a
+// release store of `produced` (no RMW), and the consumer's acquire load
+// makes it visible. The lost-wakeup check of the sleep/wake protocol (see
+// coro/executor.hpp) is paid once per resume, not once per pulse: settle()
+// is a seq_cst RMW on `produced` that the sending node makes before it
+// loads the receiver's state word, the other half of the receiver's
+// seq_cst PARKED store and re-check. It is an RMW, not a fence, because
+// GCC rejects atomic_thread_fence under -fsanitize=thread. The `consumed`
+// counter is only ever touched by the owning node's coroutine, so relaxed
+// loads and stores suffice there.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "util/contracts.hpp"
 
 namespace colex::coro {
 
@@ -44,63 +35,6 @@ constexpr std::size_t next_pow2(std::size_t v) {
   return p;
 }
 
-/// Bounded lock-free SPSC ring buffer. Exactly one thread may push and one
-/// thread may pop at any time (the two may differ and may migrate between
-/// OS threads as long as each side's calls are externally ordered —
-/// which the executor's happens-before edges guarantee for node
-/// coroutines).
-template <class T>
-class SpscRing {
- public:
-  /// Capacity is rounded up to a power of two, minimum 2.
-  explicit SpscRing(std::size_t capacity)
-      : buf_(next_pow2(capacity)), mask_(buf_.size() - 1) {}
-
-  std::size_t capacity() const { return buf_.size(); }
-
-  /// Producer side. Returns false when the ring is full.
-  bool try_push(const T& value) {
-    const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-    if (t - cached_head_ == buf_.size()) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (t - cached_head_ == buf_.size()) return false;  // genuinely full
-    }
-    buf_[t & mask_] = value;
-    tail_.store(t + 1, std::memory_order_release);  // publish the slot
-    return true;
-  }
-
-  /// Consumer side. Returns false when the ring is empty.
-  bool try_pop(T& out) {
-    const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    if (h == cached_tail_) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (h == cached_tail_) return false;  // genuinely empty
-    }
-    out = buf_[h & mask_];
-    head_.store(h + 1, std::memory_order_release);  // release the slot
-    return true;
-  }
-
-  /// Approximate from the consumer side (exact when called by the consumer
-  /// with no concurrent push).
-  std::size_t size() const {
-    return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
-                                    head_.load(std::memory_order_acquire));
-  }
-  bool empty() const { return size() == 0; }
-
- private:
-  // Producer-owned line: tail plus the producer's cached view of head.
-  alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};
-  std::uint64_t cached_head_ = 0;
-  // Consumer-owned line: head plus the consumer's cached view of tail.
-  alignas(kCacheLine) std::atomic<std::uint64_t> head_{0};
-  std::uint64_t cached_tail_ = 0;
-  alignas(kCacheLine) std::vector<T> buf_;
-  std::uint64_t mask_;
-};
-
 /// One directed pulse channel: the degenerate (zero-byte payload) SPSC ring
 /// buffer. Unbounded, allocation-free, 16 bytes. Not individually padded:
 /// at n=10^6 nodes per-channel padding alone would cost ~256MB, so false
@@ -112,22 +46,28 @@ struct PulseChannel {
   std::atomic<std::uint64_t> produced{0};
   std::atomic<std::uint64_t> consumed{0};
 
-  /// Producer: deposit one pulse. seq_cst — see file header.
-  void produce() { produced.fetch_add(1, std::memory_order_seq_cst); }
+  /// The single producer: deposit one pulse. A plain store, visible to the
+  /// consumer at once; see the file header for the wakeup half.
+  void produce() {
+    produced.store(produced.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_release);
+  }
 
-  /// Consumer only. `sync` ordering for the post-PARKED re-check in the
-  /// sleep/wake protocol; relaxed-ish acquire everywhere else.
-  std::uint64_t pending(
-      std::memory_order order = std::memory_order_seq_cst) const {
-    // consumed is owned by the caller (the consumer), produced trails it
-    // never — the difference is the queue depth.
-    return produced.load(order) - consumed.load(std::memory_order_relaxed);
+  /// The single producer: order every earlier produce() before the
+  /// receiver-state load that follows (seq_cst RMW; see file header).
+  void settle() { produced.fetch_add(0, std::memory_order_seq_cst); }
+
+  /// Pulses waiting in the channel, read by the consumer. seq_cst: the
+  /// post-PARKED re-check of the sleep/wake protocol needs it.
+  std::uint64_t pending() const {
+    return produced.load(std::memory_order_seq_cst) -
+           consumed.load(std::memory_order_relaxed);
   }
 
   /// Consumer: take one pulse if available.
   bool try_consume() {
     const std::uint64_t c = consumed.load(std::memory_order_relaxed);
-    if (produced.load(std::memory_order_seq_cst) == c) return false;
+    if (produced.load(std::memory_order_acquire) == c) return false;
     consumed.store(c + 1, std::memory_order_relaxed);
     return true;
   }

@@ -2,8 +2,8 @@
 // transcriptions ThreadRing runs must produce identical elections — exact
 // Theorem 1 / Corollary 13 pulse counts — when executed as coroutines on a
 // work-stealing executor, from n=1 self-loops up to a 10^5-node smoke. The
-// lock-free building blocks (SPSC ring, pulse channels, Chase-Lev deque)
-// get direct unit and race coverage, which is what the TSan CI stage runs.
+// lock-free building blocks (pulse channels, Chase-Lev deque) get direct
+// unit and race coverage, which is what the TSan CI stage runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,55 +23,6 @@
 namespace colex::coro {
 namespace {
 
-// --- SPSC ring buffer ------------------------------------------------------
-
-TEST(SpscRing, FillDrainAndWrapAround) {
-  SpscRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  EXPECT_TRUE(ring.empty());
-  for (int round = 0; round < 5; ++round) {  // wrap the indices repeatedly
-    for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(round * 10 + i));
-    int overflow = -1;
-    EXPECT_FALSE(ring.try_push(99));  // full
-    for (int i = 0; i < 4; ++i) {
-      int out = -1;
-      ASSERT_TRUE(ring.try_pop(out));
-      EXPECT_EQ(out, round * 10 + i);  // FIFO across the wrap boundary
-    }
-    EXPECT_FALSE(ring.try_pop(overflow));  // empty again
-  }
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscRing<int>(1).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(5).capacity(), 8u);
-  EXPECT_EQ(SpscRing<int>(8).capacity(), 8u);
-}
-
-TEST(SpscRing, TwoThreadHandoffDeliversEverythingInOrder) {
-  // The race TSan cares about: producer and consumer on distinct threads,
-  // ring deliberately small so full/empty edges are exercised constantly.
-  constexpr std::uint64_t kItems = 20'000;
-  SpscRing<std::uint64_t> ring(8);
-  std::thread producer([&ring] {
-    for (std::uint64_t i = 0; i < kItems; ++i) {
-      while (!ring.try_push(i)) std::this_thread::yield();
-    }
-  });
-  std::uint64_t expected = 0;
-  while (expected < kItems) {
-    std::uint64_t out = 0;
-    if (ring.try_pop(out)) {
-      ASSERT_EQ(out, expected);  // order preserved, nothing lost or duped
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
-}
-
 // --- Pulse channels --------------------------------------------------------
 
 TEST(PulseChannel, ProduceConsumeCounts) {
@@ -80,6 +31,8 @@ TEST(PulseChannel, ProduceConsumeCounts) {
   EXPECT_FALSE(ch.try_consume());
   ch.produce();
   ch.produce();
+  EXPECT_EQ(ch.pending(), 2u);
+  ch.settle();  // the sender's ordering RMW deposits nothing
   EXPECT_EQ(ch.pending(), 2u);
   EXPECT_TRUE(ch.try_consume());
   EXPECT_TRUE(ch.try_consume());
@@ -359,10 +312,11 @@ TEST(CoroExecutor, AgreesWithSimulatorAndThreadRing) {
   }
 }
 
+/// Sends `k` pulses on `p` in its first resume, then waits until stopped.
 template <rt::PulsePort Io>
-rt::ElectionTask pulse_once_then_wait(Io io, sim::Port p) {
+rt::ElectionTask pulses_then_wait(Io io, sim::Port p, std::uint64_t k = 1) {
   rt::BlockingOutcome out;
-  io.send(p);
+  for (std::uint64_t i = 0; i < k; ++i) io.send(p);
   for (;;) {
     if (!co_await io.wait_any()) {
       out.stopped = true;
@@ -371,15 +325,41 @@ rt::ElectionTask pulse_once_then_wait(Io io, sim::Port p) {
   }
 }
 
+/// Sends `k` pulses on `p` in its first resume, then returns.
 template <rt::PulsePort Io>
-rt::ElectionTask reads_only(Io io, sim::Port p) {
+rt::ElectionTask pulses_then_return(Io io, sim::Port p, std::uint64_t k) {
+  for (std::uint64_t i = 0; i < k; ++i) io.send(p);
+  co_return rt::BlockingOutcome{};
+}
+
+/// Reads `k` pulses on `p`, waiting whenever it is empty, then returns.
+template <rt::PulsePort Io>
+rt::ElectionTask reads_only(Io io, sim::Port p, std::uint64_t k = 1) {
   rt::BlockingOutcome out;
-  while (!io.recv(p)) {  // never looks at the other port
-    if (!co_await io.wait_any()) {
+  for (std::uint64_t got = 0; got < k;) {  // never looks at the other port
+    if (io.recv(p)) {
+      ++got;
+    } else if (!co_await io.wait_any()) {
       out.stopped = true;
       co_return out;
     }
   }
+  co_return out;
+}
+
+template <rt::PulsePort Io>
+rt::ElectionTask returns_at_once(Io) {
+  co_return rt::BlockingOutcome{};
+}
+
+/// Waits until stopped, then sends `k` pulses on `p` on its way out.
+template <rt::PulsePort Io>
+rt::ElectionTask pulses_when_stopped(Io io, sim::Port p, std::uint64_t k) {
+  rt::BlockingOutcome out;
+  while (co_await io.wait_any()) {
+  }
+  for (std::uint64_t i = 0; i < k; ++i) io.send(p);
+  out.stopped = true;
   co_return out;
 }
 
@@ -400,7 +380,7 @@ TEST(CoroExecutor, WatchdogFiresOnUndeliveredPulse) {
   // yielding on its pending-but-unread pulse. The watchdog must abort with
   // a stall dump instead of hanging.
   Executor ex(2, {}, ExecutorOptions{1, 300, nullptr});
-  auto t0 = pulse_once_then_wait(ex.io(0), co::kCwPort);
+  auto t0 = pulses_then_wait(ex.io(0), co::kCwPort);
   auto t1 = deaf_node(ex.io(1));
   ex.bind(0, t0.handle());
   ex.bind(1, t1.handle());
@@ -418,7 +398,7 @@ TEST(CoroExecutor, ParksOnThePolledPortWhileTheOtherHoldsAPulse) {
   // 1 must park on p0 rather than yield on the pulse it never reads: one
   // resume per node, no yields, and the watchdog reports the stall.
   Executor ex(2, {}, ExecutorOptions{1, 300, nullptr});
-  auto t0 = pulse_once_then_wait(ex.io(0), sim::Port::p0);  // node 1's p1
+  auto t0 = pulses_then_wait(ex.io(0), sim::Port::p0);  // node 1's p1
   auto t1 = reads_only(ex.io(1), sim::Port::p0);
   ex.bind(0, t0.handle());
   ex.bind(1, t1.handle());
@@ -434,6 +414,111 @@ TEST(CoroExecutor, ParksOnThePolledPortWhileTheOtherHoldsAPulse) {
             std::string::npos)
       << ex.stall_dump();
   EXPECT_TRUE(t1.outcome().stopped);
+}
+
+// --- Settling a resume's sends ---------------------------------------------
+
+/// Pulses one sender deposits in a single resume.
+constexpr std::uint64_t kBurst = 5;
+
+/// Every send booked exactly once: a wakeup, batched, deferred or swallowed.
+void expect_accounted(const ExecStats& s) {
+  EXPECT_EQ(s.sent, kBurst);
+  EXPECT_EQ(s.sent, s.wakeups + s.batched + s.deferred + s.swallowed);
+}
+
+TEST(CoroSettle, BurstToAReceiverParkedOnThatPortWakesItOnce) {
+  // One worker, LIFO pops: node 1 runs first and parks on p0. Node 0's
+  // kBurst pulses on its p1 land on node 1's p0 in one resume: the first
+  // claims the wakeup, the rest are settled as batched when node 0 waits.
+  Executor ex(2, {}, ExecutorOptions{1, 30'000, nullptr});
+  auto t0 = pulses_then_wait(ex.io(0), sim::Port::p1, kBurst);
+  auto t1 = reads_only(ex.io(1), sim::Port::p0, kBurst);
+  ex.bind(0, t0.handle());
+  ex.bind(1, t1.handle());
+  ASSERT_TRUE(ex.run());
+  EXPECT_TRUE(ex.quiescent());
+  const ExecStats s = ex.stats();
+  EXPECT_EQ(s.wakeups, 1u);
+  EXPECT_EQ(s.batched, kBurst - 1);
+  EXPECT_EQ(s.deferred, 0u);
+  EXPECT_EQ(s.swallowed, 0u);
+  EXPECT_EQ(s.consumed, kBurst);
+  expect_accounted(s);
+  EXPECT_FALSE(t1.outcome().stopped);  // read all kBurst pulses
+}
+
+TEST(CoroSettle, BurstToAReceiverParkedOnTheOtherPortIsDeferred) {
+  // Node 1 parks on p1; the burst lands on its p0, so no pulse may wake it
+  // and the settle books all of them deferred. Nothing reads them, so the
+  // watchdog ends the run.
+  Executor ex(2, {}, ExecutorOptions{1, 300, nullptr});
+  auto t0 = pulses_then_wait(ex.io(0), sim::Port::p1, kBurst);
+  auto t1 = reads_only(ex.io(1), sim::Port::p1);
+  ex.bind(0, t0.handle());
+  ex.bind(1, t1.handle());
+  EXPECT_FALSE(ex.run());
+  const ExecStats s = ex.stats();
+  EXPECT_EQ(s.wakeups, 0u);
+  EXPECT_EQ(s.batched, 0u);
+  EXPECT_EQ(s.deferred, kBurst);
+  EXPECT_EQ(s.swallowed, 0u);
+  expect_accounted(s);
+  EXPECT_NE(ex.stall_dump().find("node 1: pending[p0]=5 pending[p1]=0 "
+                                 "state=parked[p1]"),
+            std::string::npos)
+      << ex.stall_dump();
+}
+
+TEST(CoroSettle, BurstToAFinishedReceiverIsSwallowed) {
+  // Node 1 returns before node 0 runs: the whole burst is swallowed, which
+  // counts as consumed, so the fabric quiesces.
+  Executor ex(2, {}, ExecutorOptions{1, 30'000, nullptr});
+  auto t0 = pulses_then_wait(ex.io(0), sim::Port::p1, kBurst);
+  auto t1 = returns_at_once(ex.io(1));
+  ex.bind(0, t0.handle());
+  ex.bind(1, t1.handle());
+  ASSERT_TRUE(ex.run());
+  EXPECT_TRUE(ex.quiescent());
+  const ExecStats s = ex.stats();
+  EXPECT_EQ(s.wakeups, 0u);
+  EXPECT_EQ(s.batched, 0u);
+  EXPECT_EQ(s.deferred, 0u);
+  EXPECT_EQ(s.swallowed, kBurst);
+  EXPECT_EQ(s.consumed, 0u);
+  expect_accounted(s);
+}
+
+TEST(CoroSettle, SenderThatReturnsSettlesBeforeItIsDone) {
+  // The settle at co_return: node 0 sends its burst and returns; node 1
+  // reads all of it, and both returning ends the run.
+  Executor ex(2, {}, ExecutorOptions{1, 30'000, nullptr});
+  auto t0 = pulses_then_return(ex.io(0), sim::Port::p1, kBurst);
+  auto t1 = reads_only(ex.io(1), sim::Port::p0, kBurst);
+  ex.bind(0, t0.handle());
+  ex.bind(1, t1.handle());
+  ASSERT_TRUE(ex.run());
+  EXPECT_FALSE(ex.quiescent());  // ended by every node returning
+  const ExecStats s = ex.stats();
+  EXPECT_EQ(s.wakeups, 1u);
+  EXPECT_EQ(s.batched, kBurst - 1);
+  expect_accounted(s);
+}
+
+TEST(CoroSettle, DrainSettlesSendsMadeOnTheWayOut) {
+  // Node 1 returns, node 0 parks, the fabric quiesces, and the post-join
+  // drain resumes node 0, which sends its burst before returning: the
+  // drain's settle books it swallowed.
+  Executor ex(2, {}, ExecutorOptions{1, 30'000, nullptr});
+  auto t0 = pulses_when_stopped(ex.io(0), sim::Port::p1, kBurst);
+  auto t1 = returns_at_once(ex.io(1));
+  ex.bind(0, t0.handle());
+  ex.bind(1, t1.handle());
+  ASSERT_TRUE(ex.run());
+  EXPECT_TRUE(ex.quiescent());
+  const ExecStats s = ex.stats();
+  EXPECT_EQ(s.swallowed, kBurst);
+  expect_accounted(s);
 }
 
 constexpr rt::ThreadAlg kAllAlgs[] = {
