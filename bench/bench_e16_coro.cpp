@@ -1,15 +1,10 @@
 // E16 — coroutine event-loop runtime: million-node rings in one process.
-// ThreadRing's one-OS-thread-per-node design caps real-concurrency
-// elections at a few thousand nodes; the coroutine executor (src/coro)
-// runs each node as a coroutine over lock-free SPSC pulse channels and a
-// work-stealing scheduler, lifting the same blocking-style transcriptions
-// to rings of 10^5–10^6 nodes. Measured here, head to head:
+// The coroutine executor (src/coro) runs each node as a coroutine over
+// lock-free SPSC pulse channels and a work-stealing scheduler, lifting the
+// blocking-style transcriptions to rings of 10^5–10^6 nodes. Measured here:
 //
-//  * ThreadRing capacity sweep — Algorithm 1 with IDmax=2 (exactly 2n
-//    pulses), ring size doubling until thread creation fails or a run
-//    blows the per-size time budget. That last completed size is the
-//    baseline's max practical ring.
-//  * Coroutine sweep — the identical workload at n = 10^4, 10^5, 10^6.
+//  * Capacity sweep — Algorithm 1 with IDmax=2 (exactly 2n pulses) at
+//    n = 10^4, 10^5, 10^6 (smoke: 10^4).
 //  * Worker sweeps — Algorithm 2 once per worker count W: W ∈ {1, 2}
 //    (smoke) or W = 1..the usable CPUs, median of 3 (full), on two shapes:
 //    n = 10^4 with IDs 1..n in ring order, and perfbench's coro-ring shape,
@@ -20,17 +15,15 @@
 //    --workers: n(2·IDmax+1) ≈ 2·10^10 pulses, completed in one process
 //    with the exact Theorem 1 count.
 //
-// Gates (all recorded in BENCH_E16.json): the coroutine runtime reaches
-// ≥10× ThreadRing's max ring size (smoke: ≥2×), at ≥2× its nodes/sec;
-// every Algorithm 2 election completes with the exact pulse count and the
-// max-ID leader; and on the ring-order shape pulses/s does not decrease
-// as W grows (smoke: W=2 is not slower than W=1), while on the shuffled
-// shape W=2 is not slower than W=1 (higher W are recorded, not gated: at
-// n = 4000 the fourth worker can read below the third). With fewer than 2
-// usable CPUs the worker gate is recorded as skipped. Peak RSS is sampled
-// (getrusage ru_maxrss) after each phase; ThreadRing runs first so its
-// peak is unpolluted, and the coro phases report the running process
-// maximum (equal to their own peak whenever they are the high-water mark).
+// Gates (all recorded in BENCH_E16.json): every capacity-sweep run lands
+// exactly 2n pulses with one leader; every Algorithm 2 election completes
+// with the exact pulse count and the max-ID leader; and on the ring-order
+// shape pulses/s does not decrease as W grows (smoke: W=2 is not slower
+// than W=1), while on the shuffled shape W=2 is not slower than W=1
+// (higher W are recorded, not gated: at n = 4000 the fourth worker can
+// read below the third). With fewer than 2 usable CPUs the worker gate is
+// recorded as skipped. Peak RSS is sampled (getrusage ru_maxrss) after
+// each phase: the running process maximum.
 //
 // Flags: --smoke (CI-sized: sweeps capped, no 10^5 election), --workers N
 // (executor workers for the Algorithm 1 sweep and the 10^5 election,
@@ -38,18 +31,14 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "coro/run.hpp"
-#include "runtime/blocking_algs.hpp"
 #include "util/ids.hpp"
 #include "util/table.hpp"
 
@@ -64,9 +53,9 @@ double peak_rss_mb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
-/// IDmax=2 ring for the capacity sweeps: Corollary 13 gives exactly 2n
+/// IDmax=2 ring for the capacity sweep: Corollary 13 gives exactly 2n
 /// pulses, so the work per node is constant and nodes/sec is comparable
-/// across sizes and runtimes.
+/// across sizes.
 std::vector<std::uint64_t> sweep_ids(std::size_t n) {
   std::vector<std::uint64_t> ids(n, 1);
   ids[n / 2] = 2;
@@ -96,54 +85,6 @@ SweepRow row_from(std::size_t n, bool completed, std::size_t leaders,
     row.pulses_per_sec = static_cast<double>(pulses) / seconds;
   }
   return row;
-}
-
-/// True iff the process can hold `count` simultaneous parked threads.
-/// ThreadRing spawns one thread per node and cannot survive a failed
-/// std::thread constructor (joinable threads unwinding -> std::terminate),
-/// so the capacity wall — vm.max_map_count allows ~32k thread stacks here —
-/// must be probed where the failure is a catchable exception. The probe
-/// threads are all alive at once, then released and joined, so reaching
-/// `count` proves the real run's spawn loop will too.
-bool can_spawn(std::size_t count) {
-  std::mutex m;
-  std::condition_variable cv;
-  bool release = false;
-  std::vector<std::thread> pool;
-  pool.reserve(count);
-  bool ok = true;
-  try {
-    for (std::size_t i = 0; i < count; ++i) {
-      pool.emplace_back([&m, &cv, &release] {
-        std::unique_lock<std::mutex> lock(m);
-        cv.wait(lock, [&release] { return release; });
-      });
-    }
-  } catch (const std::exception& e) {
-    ok = false;
-    std::cout << "threadring capacity probe failed at thread " << pool.size()
-              << " of " << count << ": " << e.what() << "\n";
-  }
-  {
-    const std::lock_guard<std::mutex> lock(m);
-    release = true;
-  }
-  cv.notify_all();
-  for (std::thread& t : pool) t.join();
-  return ok;
-}
-
-SweepRow threadring_sweep_run(std::size_t n, std::uint64_t timeout_ms) {
-  // +4: the monitor thread plus slack for the runtime's own helpers.
-  if (!can_spawn(n + 4)) {
-    // Thread creation failing IS the capacity measurement.
-    return row_from(n, false, 0, 0, 0.0);
-  }
-  const auto ids = sweep_ids(n);
-  bench::WallTimer timer;
-  const rt::ThreadRunResult r =
-      rt::run_on_threads(ids, {}, rt::ThreadAlg::alg1, timeout_ms);
-  return row_from(n, r.completed, r.leader_count, r.pulses, timer.seconds());
 }
 
 SweepRow coro_sweep_run(std::size_t n, std::size_t workers,
@@ -252,9 +193,9 @@ void print_sweep(const std::vector<SweepPoint>& points) {
   table.print(std::cout);
 }
 
-bench::Json json_row(const char* runtime, const SweepRow& row) {
+bench::Json json_row(const SweepRow& row) {
   bench::Json j = bench::Json::object();
-  j.set("runtime", runtime)
+  j.set("runtime", "coro")
       .set("n", static_cast<std::uint64_t>(row.n))
       .set("completed", row.completed)
       .set("exact", row.exact)
@@ -281,10 +222,10 @@ int main(int argc, char** argv) {
   bench::banner(
       "E16 — coroutine runtime: million-node rings in one process",
       "each ring node as a coroutine over lock-free SPSC pulse channels "
-      "runs the same blocking-style transcriptions as ThreadRing at 10x+ "
-      "the ring size with exact Theorem 1 / Corollary 13 pulse counts");
+      "runs the blocking-style transcriptions on rings of up to 10^6 nodes "
+      "with exact Theorem 1 / Corollary 13 pulse counts");
 
-  bench::JsonReport report("E16", "coroutine executor vs ThreadRing");
+  bench::JsonReport report("E16", "coroutine executor capacity and workers");
   bench::apply_json_flag(report, argc, argv);
   bench::WallTimer total;
 
@@ -298,23 +239,7 @@ int main(int argc, char** argv) {
                    row.exact ? "yes" : "NO"});
   };
 
-  // --- Phase 1: ThreadRing capacity sweep (runs first so its peak RSS is
-  // unpolluted by the million-node coroutine arena). --------------------
-  const std::size_t tr_cap = smoke ? 4096 : 32768;
-  const double tr_budget_seconds = smoke ? 5.0 : 30.0;
-  std::vector<SweepRow> tr_rows;
-  SweepRow tr_best;
-  for (std::size_t n = 1024; n <= tr_cap; n *= 2) {
-    const SweepRow row = threadring_sweep_run(n, /*timeout_ms=*/120'000);
-    add_table_row("threadring", row);
-    tr_rows.push_back(row);
-    if (!row.exact) break;
-    tr_best = row;
-    if (row.seconds > tr_budget_seconds) break;  // next doubling won't fit
-  }
-  const double tr_peak_rss = peak_rss_mb();
-
-  // --- Phase 2: coroutine sweep over the same workload. ----------------
+  // --- Phase 1: capacity sweep. ------------------------------------------
   const std::vector<std::size_t> coro_sizes =
       smoke ? std::vector<std::size_t>{10'000}
             : std::vector<std::size_t>{10'000, 100'000, 1'000'000};
@@ -328,7 +253,7 @@ int main(int argc, char** argv) {
   }
   const double coro_peak_rss = peak_rss_mb();
 
-  // --- Phase 3: worker sweeps — Algorithm 2 per worker count, the median
+  // --- Phase 2: worker sweeps — Algorithm 2 per worker count, the median
   // of `repeats` runs by wall time, on IDs 1..10^4 in ring order and on
   // coro-ring's shape (a seeded shuffle of 1..4000). ---------------------
   constexpr std::size_t kSweepN = 10'000;
@@ -352,7 +277,7 @@ int main(int argc, char** argv) {
   const bool workers_ok =
       (ring_workers_ok && shuffled_workers_ok) || workers_skipped;
 
-  // --- Phase 4 (full mode): the acceptance election — Algorithm 2 at
+  // --- Phase 3 (full mode): the acceptance election — Algorithm 2 at
   // n = 10^5, exactly n(2·IDmax+1) pulses end to end in one process. ----
   Alg2Run alg2;
   if (!smoke) {
@@ -381,31 +306,13 @@ int main(int argc, char** argv) {
   print_sweep(shuffled_sweep);
 
   // --- Gates. ----------------------------------------------------------
-  const double capacity_factor =
-      tr_best.n > 0 ? static_cast<double>(coro_best.n) /
-                          static_cast<double>(tr_best.n)
-                    : 0.0;
-  const double speed_factor =
-      tr_best.nodes_per_sec > 0.0
-          ? coro_best.nodes_per_sec / tr_best.nodes_per_sec
-          : 0.0;
-  const double required_capacity = smoke ? 2.0 : 10.0;
-  const bool capacity_ok = capacity_factor >= required_capacity;
-  const bool speed_ok = speed_factor >= 2.0;
-  bool sweeps_exact = coro_best.exact && tr_best.exact;
+  bool sweeps_exact = coro_best.exact;
   for (const SweepRow& row : coro_rows) sweeps_exact = sweeps_exact && row.exact;
 
-  std::cout << "\nthreadring max practical ring: " << tr_best.n << " nodes ("
-            << util::Table::fixed(tr_best.nodes_per_sec, 0)
-            << " nodes/s, peak RSS " << util::Table::fixed(tr_peak_rss, 1)
-            << " MiB)\n"
-            << "coro max ring: " << coro_best.n << " nodes ("
+  std::cout << "\ncoro max ring: " << coro_best.n << " nodes ("
             << util::Table::fixed(coro_best.nodes_per_sec, 0)
             << " nodes/s, process peak RSS "
             << util::Table::fixed(coro_peak_rss, 1) << " MiB)\n"
-            << "capacity factor: " << util::Table::fixed(capacity_factor, 1)
-            << "x (gate >= " << required_capacity << "x), nodes/sec factor: "
-            << util::Table::fixed(speed_factor, 1) << "x (gate >= 2x)\n"
             << "alg2 elections: " << (alg2_ok ? "all exact" : "FAILED")
             << "\n"
             << "worker gate (ring order: pulses/s non-decreasing in W; "
@@ -416,8 +323,7 @@ int main(int argc, char** argv) {
                           (shuffled_workers_ok ? "ok" : "FAILED"))
             << "\n";
 
-  for (const SweepRow& row : tr_rows) report.add_result(json_row("threadring", row));
-  for (const SweepRow& row : coro_rows) report.add_result(json_row("coro", row));
+  for (const SweepRow& row : coro_rows) report.add_result(json_row(row));
   auto alg2_json = [](const Alg2Run& run, const char* ids) {
     bench::Json j = bench::Json::object();
     j.set("runtime", "coro")
@@ -451,28 +357,20 @@ int main(int argc, char** argv) {
     return sweep;
   };
 
-  const bool ok =
-      capacity_ok && speed_ok && sweeps_exact && alg2_ok && workers_ok;
+  const bool ok = sweeps_exact && alg2_ok && workers_ok;
   report.root()
       .set("smoke", smoke)
       .set("workers", static_cast<std::uint64_t>(workers))
-      .set("threadring_max_n", static_cast<std::uint64_t>(tr_best.n))
-      .set("threadring_nodes_per_sec", tr_best.nodes_per_sec)
-      .set("threadring_peak_rss_mb", tr_peak_rss)
       .set("coro_max_n", static_cast<std::uint64_t>(coro_best.n))
       .set("coro_nodes_per_sec", coro_best.nodes_per_sec)
       .set("coro_peak_rss_mb", coro_peak_rss)
       .set("final_peak_rss_mb", final_peak_rss)
-      .set("capacity_factor", capacity_factor)
-      .set("required_capacity_factor", required_capacity)
-      .set("nodes_per_sec_factor", speed_factor)
+      .set("sweeps_exact", sweeps_exact)
       .set("alg2_ok", alg2_ok)
       .set_json("worker_sweep", sweep_json(ring_sweep, "ring-order"))
       .set("shuffle_seed", kShuffleSeed)
       .set_json("worker_sweep_shuffled",
                 sweep_json(shuffled_sweep, "shuffled"))
-      .set("gate_capacity_ok", capacity_ok)
-      .set("gate_speed_ok", speed_ok)
       .set("gate_workers_skipped", workers_skipped)
       .set("gate_workers_ok", workers_ok)
       .set("gate_ok", ok);
@@ -480,12 +378,10 @@ int main(int argc, char** argv) {
 
   bench::verdict(
       ok,
-      "the coroutine executor ran the same transcriptions at " +
-          util::Table::fixed(capacity_factor, 1) +
-          "x ThreadRing's max ring size and " +
-          util::Table::fixed(speed_factor, 1) +
-          "x its nodes/sec, every election landing the exact paper pulse "
-          "count with a unique max-ID leader, and more workers never "
-          "lowered the Algorithm 2 pulse rate");
+      "the coroutine executor ran the transcriptions on rings of up to " +
+          std::to_string(coro_best.n) +
+          " nodes, every election landing the exact paper pulse count with "
+          "a unique max-ID leader, and more workers never lowered the "
+          "Algorithm 2 pulse rate");
   return ok ? 0 : 1;
 }

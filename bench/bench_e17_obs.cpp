@@ -2,17 +2,17 @@
 // proves. Four measurements, all gated in BENCH_E17.json:
 //
 //  * Zero-overhead-when-off is EXACT, not approximate: the same Algorithm 2
-//    election on ThreadRing and on the coroutine executor, with a metrics
-//    registry attached and with the nullable gates left null, must land
-//    identical outcomes and the identical n(2·IDmax+1) pulse count — the
-//    instrumentation may not perturb the algorithms at all.
+//    election on the coroutine executor, with a metrics registry attached
+//    and with the nullable gates left null, must land identical outcomes
+//    and the identical n(2·IDmax+1) pulse count — the instrumentation may
+//    not perturb the algorithms at all.
 //  * Telemetry overhead under load: a 256-ring soak under steady churn with
 //    the full plane armed (live /metrics server, periodic snapshot file,
 //    per-phase counters, flight recorder) vs the same soak with everything
-//    off, run as adjacent dark/armed pairs after a discarded warmup. Gate:
-//    best paired ratio armed/dark >= 0.97 — the armed configuration must
-//    keep within 3% of dark pace in at least one pair, so a scheduler
-//    hiccup or boost-clock sag cannot fail the build by itself.
+//    off, run as adjacent dark/armed pairs after a discarded warmup (9
+//    pairs, 3 in --smoke). Gate: the MEDIAN paired ratio armed/dark >=
+//    0.97 — telemetry may cost at most 3% of soak throughput in the typical
+//    pair. Every ratio is recorded, with its min and max.
 //  * Live scrape mid-soak: while the armed soak runs, an in-process client
 //    scrapes 127.0.0.1:<ephemeral>/metrics and must see the headline
 //    election counter plus every per-phase pulse series; /healthz and
@@ -39,9 +39,9 @@
 #include "bench_common.hpp"
 #include "coro/run.hpp"
 #include "obs/serve.hpp"
-#include "runtime/blocking_algs.hpp"
 #include "sim/types.hpp"
 #include "svc/soak.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -51,7 +51,6 @@ using namespace colex;
 // --- exactness: metrics on vs off must be indistinguishable --------------
 
 struct ExactnessRow {
-  const char* runtime = "";
   bool ok = false;
   std::uint64_t pulses_off = 0;
   std::uint64_t pulses_on = 0;
@@ -71,31 +70,10 @@ bool outcomes_identical(const std::vector<rt::BlockingOutcome>& a,
   return true;
 }
 
-ExactnessRow threadring_exactness(std::size_t n) {
-  std::vector<std::uint64_t> ids(n);
-  std::iota(ids.begin(), ids.end(), 1);
-  ExactnessRow row;
-  row.runtime = "threadring";
-  row.expected = static_cast<std::uint64_t>(n) *
-                 (2 * static_cast<std::uint64_t>(n) + 1);
-  const rt::ThreadRunResult off = rt::run_on_threads(
-      ids, {}, rt::ThreadAlg::alg2, /*timeout_ms=*/120'000, {}, nullptr);
-  obs::Registry reg;
-  const rt::ThreadRunResult on = rt::run_on_threads(
-      ids, {}, rt::ThreadAlg::alg2, /*timeout_ms=*/120'000, {}, &reg);
-  row.pulses_off = off.pulses;
-  row.pulses_on = on.pulses;
-  row.ok = off.completed && on.completed && off.pulses == row.expected &&
-           on.pulses == row.expected && off.leader == on.leader &&
-           outcomes_identical(off.outcomes, on.outcomes) && !reg.empty();
-  return row;
-}
-
 ExactnessRow coro_exactness(std::size_t n) {
   std::vector<std::uint64_t> ids(n);
   std::iota(ids.begin(), ids.end(), 1);
   ExactnessRow row;
-  row.runtime = "coro";
   row.expected = static_cast<std::uint64_t>(n) *
                  (2 * static_cast<std::uint64_t>(n) + 1);
   coro::CoroRunOptions opts;
@@ -229,28 +207,24 @@ int main(int argc, char** argv) {
   bench::WallTimer total;
 
   // --- Gate 1: zero-overhead-when-off is exact. -------------------------
-  const ExactnessRow tr_exact = threadring_exactness(smoke ? 48 : 96);
   const ExactnessRow co_exact = coro_exactness(smoke ? 1'000 : 4'000);
   util::Table exact_table(
       {"runtime", "pulses(off)", "pulses(on)", "expected", "identical"});
-  for (const ExactnessRow& row : {tr_exact, co_exact}) {
-    exact_table.add_row({row.runtime, std::to_string(row.pulses_off),
-                         std::to_string(row.pulses_on),
-                         std::to_string(row.expected),
-                         row.ok ? "yes" : "NO"});
-  }
+  exact_table.add_row({"coro", std::to_string(co_exact.pulses_off),
+                       std::to_string(co_exact.pulses_on),
+                       std::to_string(co_exact.expected),
+                       co_exact.ok ? "yes" : "NO"});
   exact_table.print(std::cout);
-  const bool exact_ok = tr_exact.ok && co_exact.ok;
+  const bool exact_ok = co_exact.ok;
 
   // --- Gate 2: armed-vs-dark soak throughput. ---------------------------
   // Run-to-run soak throughput swings far more than any plausible telemetry
   // cost (CPU boost ramp, cache state — samples in one process climb 2-3x
   // from cold to warm), so one warmup soak is discarded, then dark/armed
-  // run as adjacent pairs and the gate asks whether the armed configuration
-  // can KEEP PACE with dark in at least one pair: best paired ratio
-  // armed/dark >= 0.97, i.e. telemetry overhead <= 3% net of noise.
+  // run as adjacent pairs and the gate reads the median paired ratio
+  // armed/dark >= 0.97, i.e. telemetry overhead <= 3% in the typical pair.
   const double duration = smoke ? 2.0 : 6.0;
-  const std::size_t reps = smoke ? 3 : 4;
+  const std::size_t reps = smoke ? 3 : 9;
   bool soaks_ok = true;
   const svc::SoakOptions dark_opts = base_soak(duration, 21);
   svc::SoakOptions armed_opts = base_soak(duration, 21);
@@ -258,7 +232,8 @@ int main(int argc, char** argv) {
   armed_opts.on_serve = [](std::uint16_t) {};
   armed_opts.snapshot_path = "BENCH_E17_snapshot.jsonl";
   soak_elections_per_second(dark_opts, 100, soaks_ok);  // warmup, discarded
-  double dark = 0.0, armed = 0.0, best_ratio = 0.0;
+  double dark = 0.0, armed = 0.0;
+  std::vector<double> ratios;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const double d = soak_elections_per_second(dark_opts, rep, soaks_ok);
     const double a = soak_elections_per_second(armed_opts, rep, soaks_ok);
@@ -268,14 +243,18 @@ int main(int argc, char** argv) {
               << util::Table::fixed(d > 0.0 ? a / d : 0.0, 3) << ")\n";
     dark = std::max(dark, d);
     armed = std::max(armed, a);
-    if (d > 0.0) best_ratio = std::max(best_ratio, a / d);
+    ratios.push_back(d > 0.0 ? a / d : 0.0);
   }
-  const double overhead = 1.0 - best_ratio;
+  const util::Summary ratio = util::summarize(ratios);
+  const double overhead = 1.0 - ratio.p50;
   const bool overhead_ok = soaks_ok && overhead <= 0.03;
   std::cout << "\nsoak throughput: dark "
             << util::Table::fixed(dark, 0) << " elections/s best, armed "
             << util::Table::fixed(armed, 0)
-            << " elections/s best, paired overhead "
+            << " elections/s best; paired ratio median "
+            << util::Table::fixed(ratio.p50, 3) << " (min "
+            << util::Table::fixed(ratio.min, 3) << ", max "
+            << util::Table::fixed(ratio.max, 3) << "), overhead "
             << util::Table::fixed(overhead * 100.0, 2) << "% (gate <= 3%)\n";
 
   // --- Gate 3: live scrape mid-soak. ------------------------------------
@@ -321,21 +300,25 @@ int main(int argc, char** argv) {
             << (phase_ok ? "conservation-exact" : "MISMATCH") << "\n";
 
   // --- Artifact. --------------------------------------------------------
-  for (const ExactnessRow& row : {tr_exact, co_exact}) {
-    bench::Json j = bench::Json::object();
-    j.set("check", "zero_overhead_exact")
-        .set("runtime", row.runtime)
-        .set("pulses_off", row.pulses_off)
-        .set("pulses_on", row.pulses_on)
-        .set("expected_pulses", row.expected)
-        .set("identical", row.ok);
-    report.add_result(std::move(j));
-  }
+  bench::Json je = bench::Json::object();
+  je.set("check", "zero_overhead_exact")
+      .set("runtime", "coro")
+      .set("pulses_off", co_exact.pulses_off)
+      .set("pulses_on", co_exact.pulses_on)
+      .set("expected_pulses", co_exact.expected)
+      .set("identical", co_exact.ok);
+  report.add_result(std::move(je));
+  bench::Json ratio_list = bench::Json::array();
+  for (const double r : ratios) ratio_list.push(r);
   bench::Json jo = bench::Json::object();
   jo.set("check", "telemetry_overhead")
       .set("dark_elections_per_sec", dark)
       .set("armed_elections_per_sec", armed)
-      .set("best_paired_ratio", best_ratio)
+      .set("pairs", static_cast<std::uint64_t>(reps))
+      .set_json("paired_ratios", std::move(ratio_list))
+      .set("median_paired_ratio", ratio.p50)
+      .set("min_paired_ratio", ratio.min)
+      .set("max_paired_ratio", ratio.max)
       .set("overhead_fraction", overhead)
       .set("max_overhead_fraction", 0.03);
   report.add_result(std::move(jo));

@@ -1,13 +1,13 @@
-// E8 — Real-asynchrony validation: the blocking pseudocode transcriptions
-// on OS threads (mutex+cv ports, genuine scheduler nondeterminism) must
-// reproduce the discrete-event simulator's outputs and exact pulse counts,
-// run after run.
+// E8 — Real-asynchrony validation: the pseudocode transcriptions on the
+// coroutine executor with two worker threads (cross-worker wakeups and
+// steals, genuine OS scheduling nondeterminism) must reproduce the
+// discrete-event simulator's outputs and exact pulse counts, run after run.
 #include <chrono>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "co/election.hpp"
-#include "runtime/blocking_algs.hpp"
+#include "coro/run.hpp"
 #include "sim/scheduler.hpp"
 #include "util/ids.hpp"
 #include "util/table.hpp"
@@ -15,14 +15,14 @@
 int main() {
   using namespace colex;
   bench::banner(
-      "E8  Threaded runtime vs discrete simulator (bench_e8_runtime)",
-      "the paper's pseudocode, run on real threads, must match the "
+      "E8  Executor on real threads vs discrete simulator (bench_e8_runtime)",
+      "the paper's pseudocode, run on two OS worker threads, must match the "
       "event-driven simulator exactly: same leader, same roles, same "
       "n(2*IDmax+1) pulses");
   bench::WallTimer total;
-  bench::JsonReport report("E8", "threaded runtime vs discrete simulator");
+  bench::JsonReport report("E8", "executor (W=2) vs discrete simulator");
 
-  util::Table table({"n", "alg", "repeats", "sim pulses", "thread pulses",
+  util::Table table({"n", "alg", "repeats", "sim pulses", "coro pulses",
                      "all exact", "leader match", "wall ms/run"});
   bool all_ok = true;
 
@@ -44,21 +44,22 @@ int main() {
     for (const auto& config : configs) {
       const int repeats = 5;
       bool exact = true, leader_match = true;
-      std::uint64_t thread_pulses = 0;
+      std::uint64_t coro_pulses = 0;
       const auto t0 = std::chrono::steady_clock::now();
       for (int r = 0; r < repeats; ++r) {
-        const auto threaded = rt::run_on_threads(ids, {}, config.alg);
-        exact = exact && threaded.completed;
-        thread_pulses = threaded.pulses;
+        const auto run =
+            coro::run_on_coro(ids, {}, config.alg, {2, 30'000, nullptr});
+        exact = exact && run.completed;
+        coro_pulses = run.pulses;
         // All three algorithms elect the same leader; alg1's pulse count is
         // n*IDmax, alg2 and alg3-improved cost n(2*IDmax+1).
         const std::uint64_t expected =
             config.alg == rt::ThreadAlg::alg1
                 ? n * static_cast<std::uint64_t>(n)
                 : co::theorem1_pulses(n, n);
-        exact = exact && threaded.pulses == expected;
-        leader_match = leader_match && threaded.leader == simulated.leader &&
-                       threaded.leader_count == 1;
+        exact = exact && run.pulses == expected;
+        leader_match = leader_match && run.leader == simulated.leader &&
+                       run.leader_count == 1;
       }
       const auto t1 = std::chrono::steady_clock::now();
       const double ms =
@@ -68,7 +69,7 @@ int main() {
       table.add_row({util::Table::num(static_cast<std::uint64_t>(n)),
                      config.name, util::Table::num(std::uint64_t{repeats}),
                      util::Table::num(simulated.pulses),
-                     util::Table::num(thread_pulses), exact ? "yes" : "NO",
+                     util::Table::num(coro_pulses), exact ? "yes" : "NO",
                      leader_match ? "yes" : "NO", util::Table::fixed(ms, 2)});
     }
   }
@@ -78,6 +79,7 @@ int main() {
 
   bench::verdict(all_ok,
                  "two independent execution models (event-driven simulation, "
-                 "blocking threads) agree exactly on every run");
+                 "coroutines on OS worker threads) agree exactly on every "
+                 "run");
   return all_ok ? 0 : 1;
 }

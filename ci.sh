@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 CI: build + full test suite in the default configuration, then
-# again under ASan+UBSan, then the runtime (real-thread) tests under TSan,
+# again under ASan+UBSan, then the real-thread tests under TSan,
 # plus the static-analysis gate (colex-lint). Each configuration uses its
 # own build tree so they never contaminate one another. Exits non-zero on
 # the first failing step.
@@ -98,21 +98,20 @@ run_soak_smoke() {
   echo "$summary" | grep -q '"ok":true'
 }
 
-# Coroutine-runtime smoke: bench_e16_coro --smoke runs Algorithm 2 on the
-# coroutine executor with 1 and with 2 workers on two shapes, a 10^4-node
-# ring with IDs in ring order and perfbench's coro-ring shape (n=4000,
-# shuffled IDs), next to a ThreadRing capacity sweep, and writes
-# BENCH_E16.json; the gates checked on the artifact are >=2x ThreadRing's
-# max ring size AND >=2x its nodes/sec, 2 workers no slower than 1 on
-# both shapes (gate_workers_ok), with every election landing the exact
-# paper pulse count.
+# Coroutine-runtime smoke: bench_e16_coro --smoke runs Algorithm 1 on a
+# 10^4-node ring, then Algorithm 2 on the coroutine executor with 1 and
+# with 2 workers on two shapes, a 10^4-node ring with IDs in ring order and
+# perfbench's coro-ring shape (n=4000, shuffled IDs), and writes
+# BENCH_E16.json; the gates checked on the artifact are 2 workers no slower
+# than 1 on both shapes (gate_workers_ok), with every election landing the
+# exact paper pulse count.
 run_coro_smoke() {
   local dir="$1" label="$2"
   echo "==> [$label] coro smoke: bench_e16_coro --smoke"
   cmake --build "$dir" -j "$jobs" --target bench_e16_coro >/dev/null
   (cd "$dir" && ./bench/bench_e16_coro --smoke)
-  grep -q '"gate_speed_ok": true' "$dir/BENCH_E16.json"
-  grep -q '"gate_capacity_ok": true' "$dir/BENCH_E16.json"
+  grep -q '"sweeps_exact": true' "$dir/BENCH_E16.json"
+  grep -q '"alg2_ok": true' "$dir/BENCH_E16.json"
   grep -q '"gate_workers_ok": true' "$dir/BENCH_E16.json"
   grep -q '"gate_ok": true' "$dir/BENCH_E16.json"
 }
@@ -262,8 +261,8 @@ run_lint
 # 3. Soak smoke on the default build (repeated under the sanitizers below).
 run_soak_smoke build default
 
-# 4. Coroutine-runtime smoke on the default build: the executor must beat
-#    ThreadRing on both capacity and nodes/sec even in the CI-sized run.
+# 4. Coroutine-runtime smoke on the default build: exact counts on a
+#    10^4-node ring, and a second worker must not slow Algorithm 2 down.
 run_coro_smoke build default
 
 # 5. Live-telemetry smoke on the default build: /metrics must be scrapeable
@@ -297,8 +296,8 @@ ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}" \
 run_socket_smoke build-asan asan+ubsan
 
-# 7. TSan: the tests that exercise real threads (ThreadRing runtime,
-#    automaton host, the threaded fault/chaos harness, the parallel
+# 7. TSan: the tests that exercise real threads (the executor's scripted
+#    fault runs and its automaton host at two workers, the parallel
 #    schedule explorer, the sharded soak driver, and the coroutine
 #    executor's SPSC channels, Chase-Lev deques, and sleep/wake protocol
 #    under multi-worker stealing — including the metrics layer's
@@ -308,7 +307,7 @@ run_socket_smoke build-asan asan+ubsan
 #    then the soak smoke with real data races on the line.
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
 run_config build-tsan tsan \
-  "test_runtime|test_runtime_faults|test_automaton_host|test_parallel_explore|test_obs_metrics|test_obs_export|test_obs_serve|test_svc_soak|test_coro_runtime|test_transport_conformance|test_net_framing" \
+  "test_coro_faults|test_coro_host|test_parallel_explore|test_obs_metrics|test_obs_export|test_obs_serve|test_svc_soak|test_coro_runtime|test_transport_conformance|test_net_framing" \
   -DCOLEX_TSAN=ON
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
 run_soak_smoke build-tsan tsan

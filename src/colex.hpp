@@ -8,8 +8,9 @@
 //   colex::lb         lower-bound machinery (solitude patterns)
 //   colex::colib      universal content-oblivious computation (token bus)
 //   colex::baselines  classical content-carrying elections
-//   colex::rt         real-thread runtime + the PulsePort transcription concept
-//   colex::coro       C++20-coroutine executor (million-node rings)
+//   colex::rt         the blocking transcriptions and the PulsePort concept
+//   colex::coro       C++20-coroutine executor (million-node rings, scripted
+//                     faults, the automaton host)
 //   colex::util       RNG, statistics, ID generators, tables
 #pragma once
 
@@ -25,12 +26,12 @@
 #include "colib/bus.hpp"
 #include "colib/composed.hpp"
 #include "colib/framing.hpp"
+#include "coro/faults.hpp"
+#include "coro/host.hpp"
 #include "coro/run.hpp"
 #include "lb/solitude.hpp"
-#include "runtime/automaton_host.hpp"
 #include "runtime/port.hpp"
 #include "runtime/blocking_algs.hpp"
-#include "runtime/thread_ring.hpp"
 #include "sim/network.hpp"
 #include "sim/explore.hpp"
 #include "sim/scheduler.hpp"

@@ -154,7 +154,7 @@ void Executor::drain() {
   // Post-join, single-threaded: with stop_ set, wait_any() can no longer
   // suspend (await_ready short-circuits), so one resume runs any
   // unfinished coroutine to its co_return — collecting the stopped=true
-  // outcomes exactly as ThreadRing's broadcast_stop wake-up does. Sends
+  // outcomes exactly as a blocking transport's stopped wait does. Sends
   // performed on the way out land in the driver's own context.
   ExecContext ctx{&stats_[worker_count_], deques_[worker_count_].get(),
                   yields_[worker_count_].get(), worker_count_};
@@ -202,7 +202,7 @@ bool Executor::run() {
     threads.emplace_back([this, w] { worker_main(w); });
   }
 
-  // Watchdog + progress history, with the ThreadRing monitor's cadence:
+  // Watchdog + progress history, on a fixed cadence:
   // cover the timeout with kProgressSamples samples, floor 50ms.
   const auto started = std::chrono::steady_clock::now();
   const auto deadline =

@@ -98,17 +98,17 @@
 // (release sequence through the RMWs) — the sums are exact, not racy
 // approximations. Natural termination (Algorithm 2) is detected separately
 // by done_count == n at the moment the last node returns. A pulse sent to
-// an already-terminated node is swallowed but counted consumed (same
-// convention as ThreadRing's crashed-node swallow), keeping the
-// conservation argument sound; the sender books it when it settles, which
-// is before its worker can go idle.
+// an already-terminated node is swallowed but counted consumed (a crashed
+// node counts as terminated, coro/faults.hpp), keeping the conservation
+// argument sound; the sender books it when it settles, which is before its
+// worker can go idle.
 //
-// The driver thread is the stall watchdog: it waits on a completion cv
-// with the ThreadRing monitor's sampling cadence, records a ProgressTracker
+// The thread that calls run() is the stall watchdog: it waits on a
+// completion cv on a fixed sampling cadence, records a ProgressTracker
 // history, and on timeout broadcasts stop and snapshots dump(). After the
-// workers join, the driver resumes every unfinished coroutine once (with
-// stop set, wait_any can no longer suspend), so all outcomes — stopped
-// flags included — are collected exactly as run_on_threads reports them.
+// workers join, it resumes every unfinished coroutine once (with stop set,
+// wait_any can no longer suspend), so all outcomes — stopped flags
+// included — are collected the way a blocking transport reports them.
 #pragma once
 
 #include <atomic>
@@ -236,6 +236,36 @@ class Executor {
                           std::memory_order_relaxed);
   }
 
+  /// Pulses waiting on node `v`'s port `p`. Reading an empty port counts as
+  /// polling it, so a node that only peeks at a port (an automaton's
+  /// queued()) is still woken by the next pulse there.
+  std::size_t queued_pulses(std::uint32_t v, sim::Port p) {
+    auto& nd = nodes_[v];
+    const std::uint64_t k = nd.in[sim::index(p)].pending();
+    if (k == 0) nd.polled_empty |= port_bit(sim::index(p));
+    return static_cast<std::size_t>(k);
+  }
+
+  // --- fault layer (defined in coro/faults.cpp) -------------------------
+  // Cold-path operations the election path never calls. One worker only:
+  // each runs inside the running node's resume (inject_pulse also before
+  // run()), so no other node moves meanwhile.
+
+  /// Books the running node `v`'s unsettled sends now, so a fault sees
+  /// every receiver's state as those sends left it.
+  void settle_running(std::uint32_t v);
+  /// Takes every pulse off node `v`'s channels; returns how many it books
+  /// consumed (none for a DONE node: its pulses were booked as swallowed).
+  std::uint64_t drop_pending(std::uint32_t v);
+  /// Deposits a pulse nobody sent on the channel out of `from`'s port `p`,
+  /// booked like a send. The running node's sends must be settled.
+  void inject_pulse(std::uint32_t from, sim::Port p);
+  /// Binds node `v` to frame `h` and queues it: a DONE node counts as live
+  /// again, a parked one is claimed without booking a wakeup, a ready one
+  /// runs `h` when popped. The running node may call it from its own
+  /// wait_any, which then counts as a suspension.
+  void rebind(std::uint32_t v, std::coroutine_handle<> h);
+
   /// Flight recorder (armed iff a metrics registry is attached; nullptr
   /// otherwise — zero-overhead-when-off). One ring per execution context.
   const obs::FlightRecorder* flight() const { return flight_.get(); }
@@ -294,14 +324,14 @@ class Executor {
       }
       return true;
     }
-    // False only on stop (ThreadRing's wait_any contract): the algorithms
+    // False only on stop (the Transport wait contract): the algorithms
     // treat false as "stopped, record and co_return", which is exactly how
     // the drain unwinds nodes that still hold unconsumable pulses. True
     // does NOT promise a pulse — wakeups can be spurious: a producer's
     // produce -> CAS window may straddle the consumer's whole
     // reclaim/consume/re-park cycle, landing the CAS on a later park whose
     // channels are already empty. The algorithms re-poll and wait again,
-    // exactly as they do after a ThreadRing condvar wake.
+    // exactly as they do after any other spurious wake.
     bool await_resume() const noexcept { return !ex->stopping(); }
   };
 
@@ -386,8 +416,8 @@ class Executor {
         bump(stats.batched, k - 1);  // the rest ride the wakeup just made
       } else if (seen == NodeState::done) {
         // Swallowed (receiver terminated): total_consumed() counts these so
-        // conservation-based quiescence stays sound — mirror of ThreadRing's
-        // crashed-node convention.
+        // conservation-based quiescence stays sound — the convention
+        // crashed nodes share (coro/faults.hpp).
         bump(stats.swallowed, k);
       } else if (is_parked(seen)) {
         // Parked on the other port only: the pulses wait in their channel
@@ -463,7 +493,7 @@ class CoroIo {
   bool recv(sim::Port p) { return ex_->recv_pulse(v_, p); }
   void send(sim::Port p) { ex_->send_pulse(v_, p); }
   /// Phase-publication extension (detected by the transcriptions via
-  /// `requires { io.set_phase(p); }`, same as BlockingPortAdapter).
+  /// `requires { io.set_phase(p); }`).
   void set_phase(sim::Phase p) { ex_->set_node_phase(v_, p); }
   Executor::WaitAnyAwaiter wait_any() {
     return Executor::WaitAnyAwaiter{ex_, v_};

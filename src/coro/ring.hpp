@@ -8,7 +8,7 @@
 // never share a line (no false sharing between neighbors' send paths and
 // an unrelated node's scheduler word).
 //
-// Wiring is identical to ThreadRing / sim::Network<P>::ring: edge i
+// Wiring is identical to sim::Network<P>::ring: edge i
 // attaches node i's Port1 to node i+1's Port0 in the oriented base, with
 // optional per-node port-label flips for non-oriented rings.
 #pragma once

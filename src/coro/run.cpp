@@ -15,7 +15,7 @@ CoroRunResult run_on_coro(const std::vector<std::uint64_t>& ids,
               ExecutorOptions{options.workers, options.timeout_ms,
                               options.metrics});
 
-  // Spawn the same template transcriptions ThreadRing runs, over CoroIo.
+  // Spawn the template transcriptions over CoroIo.
   // The tasks own the coroutine frames; the executor only borrows handles.
   std::vector<rt::ElectionTask> tasks;
   tasks.reserve(n);
@@ -37,9 +37,8 @@ CoroRunResult run_on_coro(const std::vector<std::uint64_t>& ids,
   }
   rt::tally_leaders(result);
   if (options.metrics != nullptr) {
-    // Per-phase pulse/wait series plus the Theorem 1 margin, mirroring
-    // run_on_threads (the coroutine fabric is clean: no injected pulses to
-    // exclude).
+    // Per-phase pulse/wait series plus the Theorem 1 margin (the fabric is
+    // clean: no injected pulses to exclude).
     rt::publish_phase_pulses(*options.metrics, "coro.pulses", result.outcomes,
                              "coro.waits");
     const std::uint64_t bound =

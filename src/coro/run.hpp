@@ -1,8 +1,7 @@
-// Drop-in coroutine-runtime counterpart of rt::run_on_threads: same
-// algorithms (the template transcriptions in runtime/blocking_algs.hpp),
-// same outcome/result shape, executed as n coroutines on a few worker
-// threads instead of n OS threads — the difference between rings of a few
-// thousand nodes and rings of a million.
+// One election on the coroutine executor: the template transcriptions in
+// runtime/blocking_algs.hpp, reported in the shared rt::TransportRunResult
+// shape, executed as n coroutines on a few worker threads — rings of a
+// million nodes.
 #pragma once
 
 #include <cstdint>
@@ -21,16 +20,14 @@ struct CoroRunOptions {
   obs::Registry* metrics = nullptr;   ///< merged per-worker registries
 };
 
-/// The substrate-agnostic rt::TransportRunResult shape (no fault-hook
-/// counters: the coroutine runtime runs clean fabrics; fault injection
-/// lives on sim and ThreadRing) plus the executor's scheduler telemetry.
+/// The substrate-agnostic rt::TransportRunResult shape plus the executor's
+/// scheduler telemetry (fault runs: coro/faults.hpp).
 struct CoroRunResult : rt::TransportRunResult {
   ExecStats stats;               ///< scheduler telemetry (always on)
 };
 
 /// Runs one election over n = ids.size() nodes on the coroutine executor.
-/// `port_flips` must be empty for the oriented algorithms (same contract
-/// as run_on_threads).
+/// `port_flips` must be empty for the oriented algorithms.
 CoroRunResult run_on_coro(const std::vector<std::uint64_t>& ids,
                           const std::vector<bool>& port_flips,
                           rt::ThreadAlg alg,

@@ -331,7 +331,7 @@ bool PulseEndpoint::wait() {
   for (int i = 0; i < 2; ++i) {
     if (!drain_link(i, false)) return false;
   }
-  if (queue_[0] + queue_[1] > 0) return true;  // ThreadRing wait_any contract
+  if (queue_[0] + queue_[1] > 0) return true;  // Transport wait contract
   // The REPORT follows the spin: a wait the spin satisfies sends no REPORT
   // and makes no poll().
   if (spin_) {

@@ -14,7 +14,7 @@
 //
 // Port labels
 // -----------
-// Wiring matches sim::Network / ThreadRing / coro::wire_ring exactly: in
+// Wiring matches sim::Network / coro::wire_ring exactly: in
 // the oriented base, node i's Port1 attaches to node i+1's Port0. A node's
 // local label for the successor edge is therefore Port1, or Port0 when its
 // labels are flipped (non-oriented rings) — and, because a link delivers to
@@ -28,7 +28,7 @@
 // send batches a pulse byte on the connection's output tally (flushed at
 // wait() and whenever a batch fills). wait() flushes, drains the control
 // stream and both ring edges, and returns immediately if arrivals are
-// queued (ThreadRing's wait_any contract). Otherwise, when the endpoint
+// queued (the Transport wait contract). Otherwise, when the endpoint
 // spins, it busy-reads both ring edges for up to a fixed budget (100 µs)
 // and returns as soon as a pulse lands. Only then does it report idle to
 // the coordinator and block in poll() over {successor, predecessor,
@@ -151,8 +151,8 @@ class PulseEndpoint {
   /// Post-termination service loop (Algorithm 2): keep draining the ring
   /// edges — swallowing arrivals as consumed, re-reporting `done` counters,
   /// answering probes — until the coordinator broadcasts STOP or the
-  /// deadline expires. Mirrors the swallow convention of ThreadRing's
-  /// crashed nodes and the executor's terminated nodes, so conservation
+  /// deadline expires. Mirrors the swallow convention of the executor's
+  /// terminated and crashed nodes, so conservation
   /// (sent == consumed at quiescence) holds on this substrate too.
   void drain_until_stop();
 
@@ -209,7 +209,7 @@ class PulseEndpoint {
 
 /// Small copyable Transport handle over a PulseEndpoint — what plugs into
 /// rt::TransportPort (which holds its transport by value), mirroring how
-/// NodeIo and CoroIo are views into fabric-owned state.
+/// CoroIo is a view into the executor's node table.
 class EndpointIo {
  public:
   explicit EndpointIo(PulseEndpoint& e) : e_(&e) {}

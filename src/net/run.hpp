@@ -1,5 +1,5 @@
 // Whole-run facades for the socket backend: the same election the
-// simulator, ThreadRing and the coroutine executor run, but over real TCP
+// simulator and the coroutine executor run, but over real TCP
 // connections — in-process (one thread per node, ephemeral ports) or
 // multi-process (one forked process per node, the harness for colex-ring
 // and the E18 bench). Both return the substrate-agnostic
@@ -43,7 +43,7 @@ struct SocketRunResult : rt::TransportRunResult {
 };
 
 /// Runs `alg` on a real-socket ring with one thread per node, all on
-/// 127.0.0.1. Same signature shape as run_on_threads / run_on_coro.
+/// 127.0.0.1. Same signature shape as run_on_coro.
 SocketRunResult run_on_sockets(const std::vector<std::uint64_t>& ids,
                                const std::vector<bool>& port_flips,
                                rt::ThreadAlg alg,

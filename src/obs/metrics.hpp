@@ -9,7 +9,7 @@
 //   default-disabled options, the hot paths pay at most one pointer test.
 // * Lock-free-friendly by OWNERSHIP, not by atomics: a Registry is a plain
 //   single-threaded object. Concurrent producers (the parallel explorer's
-//   workers, ThreadRing's node threads) each write their own registry (or
+//   workers, the socket ring's node threads) each write their own registry (or
 //   their own atomics) and the results are merged after the join — the same
 //   determinism-by-ownership contract sim/parallel.hpp already enforces for
 //   exploration accumulators. Counters sum, gauges take the max, histograms

@@ -379,26 +379,8 @@ std::string check_runtime_agreement(const FuzzCase& c,
     case Algorithm::alg4: alg = rt::ThreadAlg::alg3_improved; break;
   }
   const RunOutcome sim_run = execute_case(c);
-  const rt::ThreadRunResult threaded =
-      rt::run_on_threads(c.ids, c.port_flips, alg, timeout_ms);
-  if (!threaded.completed) {
-    return "thread runtime did not settle: " + threaded.stall_dump;
-  }
-  if (threaded.leader_count != sim_run.leader_count) {
-    return "leader count: runtime " + std::to_string(threaded.leader_count) +
-           " vs sim " + std::to_string(sim_run.leader_count);
-  }
-  if (threaded.leader != sim_run.leader) {
-    return "leader identity differs between runtime and sim";
-  }
-  if (threaded.pulses != exact_pulses(c) ||
-      sim_run.counters.sent != exact_pulses(c)) {
-    return "pulse counts: runtime " + std::to_string(threaded.pulses) +
-           ", sim " + std::to_string(sim_run.counters.sent) +
-           ", paper predicts " + std::to_string(exact_pulses(c));
-  }
-  // Third substrate: the coroutine executor, with two workers so the
-  // work-stealing and sleep/wake paths are actually exercised.
+  // The coroutine executor, with two workers so the work-stealing and
+  // sleep/wake paths are actually exercised.
   const coro::CoroRunResult coroed =
       coro::run_on_coro(c.ids, c.port_flips, alg, {2, timeout_ms, nullptr});
   if (!coroed.completed) {
@@ -411,11 +393,13 @@ std::string check_runtime_agreement(const FuzzCase& c,
   if (coroed.leader != sim_run.leader) {
     return "leader identity differs between coro runtime and sim";
   }
-  if (coroed.pulses != exact_pulses(c)) {
-    return "pulse count: coro runtime " + std::to_string(coroed.pulses) +
+  if (coroed.pulses != exact_pulses(c) ||
+      sim_run.counters.sent != exact_pulses(c)) {
+    return "pulse counts: coro runtime " + std::to_string(coroed.pulses) +
+           ", sim " + std::to_string(sim_run.counters.sent) +
            ", paper predicts " + std::to_string(exact_pulses(c));
   }
-  // Fourth substrate: real TCP sockets on loopback — small rings only (each
+  // Real TCP sockets on loopback — small rings only (each
   // node costs a thread plus four descriptors, and the oracle runs inside
   // fuzz campaigns).
   if (c.n() <= 8) {

@@ -94,9 +94,9 @@ std::vector<std::string> property_names(const FuzzCase& c,
 /// stats and identical per-leaf outcomes. Clean cases only. Empty = agree.
 std::string check_engine_agreement(const FuzzCase& c, std::uint64_t budget);
 
-/// Cross-substrate oracle: runs the same ids/orientation on the ThreadRing
-/// runtime, the coroutine executor (two workers) and — for rings of at most
-/// eight nodes — the real-socket backend, and requires every substrate to
+/// Cross-substrate oracle: runs the same ids/orientation on the coroutine
+/// executor (two workers) and — for rings of at most eight nodes — the
+/// real-socket backend, and requires every substrate to
 /// agree with the simulator on the leader set and the exact paper-predicted
 /// pulse count (the socket leg additionally proves sent == consumed at
 /// quiescence). Clean cases only. Empty = agree.

@@ -2,13 +2,12 @@
 // written once as template coroutines over the PulsePort concept
 // (runtime/port.hpp) so the *same* pseudocode runs on two execution models:
 //
-//  * ThreadRing (one OS thread per node): BlockingPortAdapter's wait_any()
-//    blocks inside await_ready() and never suspends, so resuming the
-//    coroutine once runs the algorithm to completion — exactly the old
-//    blocking functions, which remain available as run_alg*_blocking().
 //  * The coroutine runtime (src/coro): CoroIo's wait_any() parks the node
 //    coroutine until a pulse arrives, so millions of nodes share a few
 //    worker threads.
+//  * Blocking transports (src/net's sockets): TransportPort's wait_any()
+//    blocks inside await_ready() and never suspends, so resuming the
+//    coroutine once runs the algorithm to completion on its node thread.
 //
 // The bodies are deliberately written as loops over non-blocking recv calls
 // — the exact shape of Algorithms 1, 2 and 3 in the paper — with the
@@ -18,7 +17,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,7 +24,6 @@
 #include "co/oriented.hpp"
 #include "co/roles.hpp"
 #include "runtime/port.hpp"
-#include "runtime/thread_ring.hpp"
 
 namespace colex::rt {
 
@@ -222,7 +219,7 @@ ElectionTask run_alg3(Io io, std::uint64_t id, co::IdScheme scheme) {
   }
 }
 
-/// Which algorithm a run executes (shared by ThreadRing and src/coro).
+/// Which algorithm a run executes (shared by src/coro and src/net).
 enum class ThreadAlg { alg1, alg2, alg3_doubled, alg3_improved };
 
 /// The paper's pulse bound for `alg` on n nodes with maximum ID `id_max`:
@@ -254,48 +251,5 @@ ElectionTask spawn_alg(ThreadAlg alg, Io io, std::uint64_t id) {
   }
   util::contract_fail("precondition", "valid ThreadAlg", __FILE__, __LINE__);
 }
-
-/// Algorithm 1 driven synchronously on a ThreadRing node (legacy shape:
-/// identical behavior to the pre-coroutine blocking transcription).
-BlockingOutcome run_alg1_blocking(NodeIo io, std::uint64_t id);
-
-/// Algorithm 2 driven synchronously on a ThreadRing node.
-BlockingOutcome run_alg2_blocking(NodeIo io, std::uint64_t id);
-
-/// Algorithm 3 driven synchronously on a ThreadRing node.
-BlockingOutcome run_alg3_blocking(NodeIo io, std::uint64_t id,
-                                  co::IdScheme scheme);
-
-/// ThreadRing's run result: the substrate-agnostic TransportRunResult shape
-/// (outcomes, pulses, completion, leader tally, stall post-mortem from
-/// ThreadRing::dump()) plus the fault-hook counters only this substrate
-/// has.
-struct ThreadRunResult : TransportRunResult {
-  std::uint64_t crashes = 0;      ///< crash() events during the run
-  std::uint64_t recoveries = 0;   ///< recover() events during the run
-};
-
-/// A fault script run concurrently with the algorithms, in its own thread:
-/// it may crash(), recover() and inject_pulse() on the live fabric. It
-/// deliberately races the workers — that nondeterminism is the point of
-/// exercising faults on real threads (the simulator side, sim/faults.hpp,
-/// covers the reproducible-schedule half).
-using ChaosScript = std::function<void(ThreadRing&)>;
-
-/// Spawns one thread per node, runs `alg`, monitors for quiescence /
-/// termination, joins, and aggregates results. `port_flips` must be empty
-/// for the oriented algorithms. `timeout_ms` is the watchdog budget: a run
-/// that exceeds it is aborted (never hangs) and `stall_dump` is filled in.
-/// A worker whose node crash-stops parks until recover() or stop; on
-/// recovery it re-runs the algorithm from scratch with erased state.
-/// A non-null `metrics` registry enables the fabric's telemetry probes
-/// (per-node pulse counts, blocking-wait durations) and receives the
-/// published snapshot after the run; the stall post-mortem embeds it too.
-ThreadRunResult run_on_threads(const std::vector<std::uint64_t>& ids,
-                               const std::vector<bool>& port_flips,
-                               ThreadAlg alg,
-                               std::uint64_t timeout_ms = 30'000,
-                               ChaosScript chaos = {},
-                               obs::Registry* metrics = nullptr);
 
 }  // namespace colex::rt

@@ -1,16 +1,16 @@
-// The execution-model seam shared by ThreadRing, the coroutine runtime
-// (src/coro), and the socket backend (src/net): one coroutine task type,
-// one per-node outcome record, and one run-result shape, over the
-// Transport/PulsePort concepts of runtime/transport.hpp.
+// The execution-model seam shared by the coroutine runtime (src/coro) and
+// the socket backend (src/net): one coroutine task type, one per-node
+// outcome record, and one run-result shape, over the Transport/PulsePort
+// concepts of runtime/transport.hpp.
 //
 // The paper's pseudocode is transcribed once, as a template coroutine over a
 // `PulsePort` (blocking_algs.hpp). The only operation that can block is
 // wait_any(), so it is the only awaitable; recv()/send() are plain calls.
 // On the coroutine runtime the awaitable parks the node until a pulse
-// arrives. On the blocking substrates (ThreadRing, src/net), TransportPort
-// performs the blocking wait inside await_ready() and never suspends — the
-// coroutine therefore runs to completion in one resume, byte-for-byte the
-// old blocking behavior, on the thread that resumed it.
+// arrives. On a blocking substrate (src/net), TransportPort performs the
+// blocking wait inside await_ready() and never suspends — the coroutine
+// therefore runs to completion in one resume, on the thread that resumed
+// it.
 #pragma once
 
 #include <array>
@@ -26,7 +26,6 @@
 #include "co/oriented.hpp"
 #include "co/roles.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/thread_ring.hpp"
 #include "runtime/transport.hpp"
 #include "sim/types.hpp"
 #include "util/contracts.hpp"
@@ -82,11 +81,11 @@ inline void publish_phase_pulses(obs::Registry& registry,
 }
 
 /// The substrate-agnostic result of one blocking-style run: every backend
-/// that drives the transcriptions to completion (ThreadRing, the coroutine
-/// executor, the socket fabric) reports this same shape, which is what
-/// makes the cross-substrate conformance suite a field-by-field comparison.
-/// Backends extend it with their substrate-specific telemetry
-/// (ThreadRunResult adds fault counters, CoroRunResult scheduler stats,
+/// that drives the transcriptions to completion (the coroutine executor,
+/// the socket fabric) reports this same shape, which is what makes the
+/// cross-substrate conformance suite a field-by-field comparison. Backends
+/// extend it with their substrate-specific telemetry (CoroRunResult
+/// scheduler stats, coro::FaultRunResult the fault ledger,
 /// net::SocketRunResult wire counters).
 struct TransportRunResult {
   std::vector<BlockingOutcome> outcomes;
@@ -172,25 +171,8 @@ class ElectionTask {
   Handle handle_;
 };
 
-// NodeIo models the transport seam natively (wait blocks on the node's
-// condition variable; stop/crash make it return false), so the ThreadRing
-// PulsePort is just the generic blocking adapter instantiated over it. The
-// socket backend (src/net) plugs its endpoint handle into the exact same
-// template — that is the whole point of the seam.
-static_assert(Transport<NodeIo>);
-
-/// ThreadRing-side PulsePort: TransportPort over a NodeIo, so the template
-/// coroutine transcriptions run on it unchanged. The wait_any() awaitable
-/// blocks inside await_ready() (on the node's condition variable, via
-/// NodeIo::wait) and always reports ready, so the coroutine never actually
-/// suspends — resuming it once runs the algorithm to completion exactly as
-/// the plain blocking function did.
-using BlockingPortAdapter = TransportPort<NodeIo>;
-
-static_assert(PulsePort<BlockingPortAdapter>);
-
-/// Runs a lazily-started ElectionTask whose port never suspends (e.g. over
-/// BlockingPortAdapter) to completion on the calling thread and returns the
+/// Runs a lazily-started ElectionTask whose port never suspends (a
+/// TransportPort) to completion on the calling thread and returns the
 /// outcome.
 inline BlockingOutcome drive_blocking(ElectionTask task) {
   task.handle().resume();

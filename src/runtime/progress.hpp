@@ -1,12 +1,12 @@
 // Bounded progress history for stall watchdogs.
 //
-// The ThreadRing monitor pioneered the idea: sample a cheap scalar progress
-// indicator (global consumed count) on a fixed cadence, keep the last N
-// samples with a human-readable annotation, and when a timeout fires the
-// retained window answers the first post-mortem question — "was the run dead
-// all along or did it die at t=X?". The soak harness reuses the same shape
-// per shard, where a flat tail over the observation window flags a shard
-// whose elections stopped completing.
+// The executor's watchdog samples a cheap scalar progress indicator (global
+// consumed count) on a fixed cadence and keeps the last N samples with a
+// human-readable annotation; when a timeout fires, the retained window
+// answers the first post-mortem question — "was the run dead all along or
+// did it die at t=X?". The soak harness reuses the same shape per shard,
+// where a flat tail over the observation window flags a shard whose
+// elections stopped completing.
 //
 // ProgressTracker is deliberately tiny and thread-safe: any thread may
 // record(), any thread may read. Recording is a mutex-guarded deque push —

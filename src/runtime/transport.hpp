@@ -1,7 +1,6 @@
-// The transport seam extracted from the three original pulse-plumbing
-// stacks (sim::Network's delivery queues, ThreadRing's condvar ports, the
-// coroutine executor's SPSC channels), so a fourth substrate — real sockets
-// (src/net) — can host the very same algorithm transcriptions without
+// The transport seam between the algorithm transcriptions and the pulse
+// plumbing under them (the coroutine executor's channels, real sockets in
+// src/net), so a substrate can host the very same transcriptions without
 // touching them.
 //
 // Two layers:
@@ -10,9 +9,9 @@
 //    recv/send on the node's two ports, a *blocking* wait() for the next
 //    pulse (false means the harness stopped the run: global quiescence was
 //    detected, the watchdog fired, or the endpoint failed), a stopped()
-//    probe, and an idempotent shutdown() hook for teardown. ThreadRing's
-//    NodeIo models it natively; src/net's socket endpoint models it by
-//    pumping its file descriptors inside wait().
+//    probe, and an idempotent shutdown() hook for teardown. src/net's
+//    socket endpoint models it by pumping its file descriptors inside
+//    wait().
 //
 //  * `PulsePort` — what an algorithm transcription compiles against
 //    (runtime/blocking_algs.hpp): recv/send plus an *awaitable* wait_any().
@@ -25,8 +24,8 @@
 //
 // wait()/wait_any() share one contract: a false result means "stopped —
 // record your outcome and return"; true does NOT promise a pulse (wakeups
-// may be spurious: a condvar wake on ThreadRing, a stale producer CAS on
-// the executor, a control-plane message on sockets), so transcriptions
+// may be spurious: a stale producer CAS on the executor, a control-plane
+// message on sockets), so transcriptions
 // re-poll recv() and wait again.
 #pragma once
 
@@ -79,8 +78,8 @@ concept PulsePort = requires(Io io, sim::Port p) {
 /// resuming it once runs the algorithm to completion exactly as a plain
 /// blocking function would, on the thread that resumed it.
 ///
-/// T is held by value: substrate handles (NodeIo, src/net's EndpointIo)
-/// are small copyable views into fabric-owned state, mirroring CoroIo.
+/// T is held by value: substrate handles (src/net's EndpointIo) are small
+/// copyable views into fabric-owned state, mirroring CoroIo.
 template <Transport T>
 class TransportPort {
  public:
@@ -88,16 +87,6 @@ class TransportPort {
 
   bool recv(sim::Port p) { return t_.recv(p); }
   void send(sim::Port p) { t_.send(p); }
-  /// Publishes the node's current algorithm phase when the underlying
-  /// transport supports it. Transcriptions detect this extension via
-  /// `requires { io.set_phase(p); }` — transports without it still satisfy
-  /// Transport, and the constrained member simply drops out.
-  void set_phase(sim::Phase p)
-    requires requires(T& t) { t.set_phase(p); }
-  {
-    t_.set_phase(p);
-  }
-
   struct WaitAnyAwaiter {
     T& t;
     bool result = false;

@@ -68,7 +68,7 @@ class Context {
   /// the discrete-event simulator: no payload can be enqueued while a
   /// react() is executing, so "my queues right now" is a well-defined
   /// point of the global execution. Concurrent substrates
-  /// (rt::ThreadRing's automaton host) return false: a delivery can land
+  /// (coro::run_automata_on_coro at W >= 2) return false: a delivery can land
   /// mid-react, so a queue observed non-empty may hold payloads that in
   /// every serialized ordering of the same execution arrive only *after*
   /// this react returns. Invariant checks quantifying over the current

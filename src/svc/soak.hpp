@@ -27,7 +27,7 @@
 // samples.
 //
 // The calling thread is the monitor: it samples per-shard progress into
-// runtime::ProgressTracker windows (the ThreadRing watchdog's last-N idea
+// runtime::ProgressTracker windows (the executor watchdog's last-N idea
 // lifted to shard granularity — a flat tail flags a stalled shard), and
 // periodically rewrites a colex-trace-v1 snapshot file carrying the live
 // metrics registry, which `colex-inspect summary` prints. A stalled shard

@@ -1,7 +1,8 @@
-// Tests for the generic thread host: the *same automaton objects* the
-// discrete simulator runs — event-driven Algorithm 2, the replication
-// adapter, and the full Corollary 5 composition — executing on real OS
-// threads with identical results.
+// Tests for the executor's automaton host (coro/host.hpp): the
+// *same automaton objects* the discrete simulator runs — event-driven
+// Algorithm 2 and 3, the replication adapter, and the full Corollary 5
+// composition — on the coroutine executor with identical results, at one
+// worker and at two (the TSan stage runs the two-worker half).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,20 +13,30 @@
 #include "co/replicated.hpp"
 #include "colib/apps.hpp"
 #include "colib/composed.hpp"
-#include "helpers.hpp"
-#include "runtime/automaton_host.hpp"
+#include "coro/host.hpp"
+#include "util/contracts.hpp"
 
-namespace colex::rt {
+namespace colex::coro {
 namespace {
 
-TEST(AutomatonHost, Alg2MatchesSimulatorExactly) {
+class CoroHost : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  HostRunResult host(std::size_t n, const std::vector<bool>& flips,
+                     const HostFactory& factory,
+                     std::uint64_t timeout_ms = 30'000) const {
+    return run_automata_on_coro(n, flips, factory,
+                                {GetParam(), timeout_ms, nullptr});
+  }
+};
+
+TEST_P(CoroHost, Alg2MatchesSimulatorExactly) {
   const std::vector<std::uint64_t> ids{6, 11, 3, 9, 1, 7};
-  const auto result = run_automata_on_threads(
+  const auto result = host(
       ids.size(), {},
       [&ids](sim::NodeId v) {
         return std::make_unique<co::Alg2Terminating>(ids[v]);
       });
-  ASSERT_TRUE(result.completed);
+  ASSERT_TRUE(result.completed) << result.stall_dump;
   ASSERT_TRUE(result.all_terminated);
   EXPECT_EQ(result.pulses, co::theorem1_pulses(ids.size(), 11));
   std::size_t leaders = 0;
@@ -42,16 +53,17 @@ TEST(AutomatonHost, Alg2MatchesSimulatorExactly) {
   EXPECT_EQ(leaders, 1u);
 }
 
-TEST(AutomatonHost, Alg3OnScrambledRing) {
+TEST_P(CoroHost, Alg3OnScrambledRing) {
   const std::vector<std::uint64_t> ids{6, 11, 3, 9};
   const std::vector<bool> flips{true, false, true, true};
-  const auto result = run_automata_on_threads(
-      ids.size(), flips, [&ids](sim::NodeId v) {
-        co::Alg3NonOriented::Options options;
-        return std::make_unique<co::Alg3NonOriented>(ids[v], options);
+  const auto result = host(
+      ids.size(), flips,
+      [&ids](sim::NodeId v) {
+        co::Alg3NonOriented::Options alg_options;
+        return std::make_unique<co::Alg3NonOriented>(ids[v], alg_options);
       });
-  ASSERT_TRUE(result.completed);
-  EXPECT_FALSE(result.all_terminated);  // stabilizing: harness stopped it
+  ASSERT_TRUE(result.completed) << result.stall_dump;
+  EXPECT_FALSE(result.all_terminated);  // stabilizing: quiescence stopped it
   EXPECT_EQ(result.pulses, co::theorem1_pulses(4, 11));
   std::size_t leaders = 0;
   for (sim::NodeId v = 0; v < ids.size(); ++v) {
@@ -65,15 +77,16 @@ TEST(AutomatonHost, Alg3OnScrambledRing) {
   EXPECT_EQ(leaders, 1u);
 }
 
-TEST(AutomatonHost, ReplicatedAdapterOnThreads) {
+TEST_P(CoroHost, ReplicatedAdapter) {
   const std::vector<std::uint64_t> ids{4, 9, 2, 6};
   const unsigned r = 2;
-  const auto result = run_automata_on_threads(
-      ids.size(), {}, [&ids, r](sim::NodeId v) {
+  const auto result = host(
+      ids.size(), {},
+      [&ids, r](sim::NodeId v) {
         return std::make_unique<co::ReplicatedAdapter>(
             std::make_unique<co::Alg2Terminating>(ids[v]), r);
       });
-  ASSERT_TRUE(result.completed);
+  ASSERT_TRUE(result.completed) << result.stall_dump;
   ASSERT_TRUE(result.all_terminated);
   EXPECT_EQ(result.pulses, (r + 1) * co::theorem1_pulses(4, 9));
   std::size_t leaders = 0;
@@ -87,17 +100,18 @@ TEST(AutomatonHost, ReplicatedAdapterOnThreads) {
   EXPECT_EQ(leaders, 1u);
 }
 
-TEST(AutomatonHost, Corollary5CompositionOnRealThreads) {
+TEST_P(CoroHost, Corollary5Composition) {
   // The full stack — Algorithm 2, then the token-bus survey, then a
-  // gather-all computation — on genuine asynchrony.
+  // gather-all computation — on the executor's worker threads.
   const std::vector<std::uint64_t> ids{6, 11, 3, 9, 1};
   const std::vector<std::uint64_t> inputs{10, 20, 30, 40, 50};
-  const auto result = run_automata_on_threads(
-      ids.size(), {}, [&](sim::NodeId v) {
+  const auto result = host(
+      ids.size(), {},
+      [&](sim::NodeId v) {
         return std::make_unique<colib::ComposedNode>(
             ids[v], std::make_unique<colib::GatherAllApp>(inputs[v]));
       });
-  ASSERT_TRUE(result.completed);
+  ASSERT_TRUE(result.completed) << result.stall_dump;
   ASSERT_TRUE(result.all_terminated);
   for (sim::NodeId v = 0; v < ids.size(); ++v) {
     const auto& composed =
@@ -114,12 +128,13 @@ TEST(AutomatonHost, Corollary5CompositionOnRealThreads) {
   }
 }
 
-TEST(AutomatonHost, RepeatedCompositionRunsStayExact) {
+TEST_P(CoroHost, RepeatedCompositionRunsStayExact) {
   const std::vector<std::uint64_t> ids{4, 9, 2};
   std::uint64_t reference = 0;
   for (int rep = 0; rep < 6; ++rep) {
-    const auto result = run_automata_on_threads(
-        ids.size(), {}, [&ids](sim::NodeId v) {
+    const auto result = host(
+        ids.size(), {},
+        [&ids](sim::NodeId v) {
           return std::make_unique<colib::ComposedNode>(
               ids[v], std::make_unique<colib::GatherAllApp>(v + 1));
         });
@@ -128,31 +143,30 @@ TEST(AutomatonHost, RepeatedCompositionRunsStayExact) {
       reference = result.pulses;
     } else {
       // The bus is fully serialized, so even the *total* pulse count is
-      // identical across thread schedules.
+      // identical across schedules.
       EXPECT_EQ(result.pulses, reference) << rep;
     }
   }
 }
 
-TEST(AutomatonHost, SingleNode) {
-  const auto result = run_automata_on_threads(1, {}, [](sim::NodeId) {
+TEST_P(CoroHost, SingleNode) {
+  const auto result = host(1, {}, [](sim::NodeId) {
     return std::make_unique<co::Alg2Terminating>(7);
   });
   ASSERT_TRUE(result.all_terminated);
   EXPECT_EQ(result.pulses, 15u);
 }
 
-TEST(AutomatonHost, RejectsNullFactoryResult) {
-  EXPECT_THROW(run_automata_on_threads(
-                   2, {}, [](sim::NodeId) {
-                     return std::unique_ptr<sim::PulseAutomaton>{};
-                   }),
+TEST_P(CoroHost, RejectsNullFactoryResult) {
+  EXPECT_THROW(host(2, {},
+                    [](sim::NodeId) {
+                      return std::unique_ptr<sim::PulseAutomaton>{};
+                    }),
                util::ContractViolation);
 }
 
-
 /// Relays every pulse forever: the fabric never goes quiescent, so the
-/// harness monitor must give up via its timeout.
+/// watchdog must end the run.
 class EternalRelay final : public sim::PulseAutomaton {
  public:
   void start(sim::PulseContext& ctx) override { ctx.send(sim::Port::p1); }
@@ -166,14 +180,58 @@ class EternalRelay final : public sim::PulseAutomaton {
   }
 };
 
-TEST(AutomatonHost, TimeoutOnNonQuiescentProtocol) {
-  const auto result = run_automata_on_threads(
+TEST_P(CoroHost, TimeoutOnNonQuiescentProtocol) {
+  const auto result = host(
       2, {}, [](sim::NodeId) { return std::make_unique<EternalRelay>(); },
       /*timeout_ms=*/300);
   EXPECT_FALSE(result.completed);  // timed out, not quiescent
   EXPECT_FALSE(result.all_terminated);
   EXPECT_GT(result.pulses, 2u);  // it really was circulating
+  EXPECT_NE(result.stall_dump.find("coro-executor state"), std::string::npos);
 }
 
+/// Node 0 sends one pulse out of its p0 (it lands on node 1's p1) and is
+/// done. Node 1 only peeks at p1 through queued() and polls p0 empty: the
+/// peek must count as polling p1, or the pulse would wait there forever
+/// while node 1 sleeps on p0 alone.
+class PeekThenTake final : public sim::PulseAutomaton {
+ public:
+  explicit PeekThenTake(bool sender) : sender_(sender) {}
+  void start(sim::PulseContext& ctx) override {
+    if (sender_) ctx.send(sim::Port::p0);
+  }
+  void react(sim::PulseContext& ctx) override {
+    if (sender_ || done_) return;
+    if (ctx.queued(sim::Port::p1) > 0) {
+      done_ = ctx.recv_pulse(sim::Port::p1);
+      return;
+    }
+    ctx.recv_pulse(sim::Port::p0);
+  }
+  bool terminated() const override { return sender_ || done_; }
+  std::unique_ptr<sim::PulseAutomaton> clone() const override {
+    return std::make_unique<PeekThenTake>(*this);
+  }
+
+ private:
+  bool sender_;
+  bool done_ = false;
+};
+
+TEST_P(CoroHost, PeekedPortStillWakesTheNode) {
+  const auto result = host(
+      2, {},
+      [](sim::NodeId v) { return std::make_unique<PeekThenTake>(v == 0); },
+      /*timeout_ms=*/5'000);
+  EXPECT_TRUE(result.completed) << result.stall_dump;
+  EXPECT_TRUE(result.all_terminated);
+  EXPECT_EQ(result.pulses, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, CoroHost, ::testing::Values(1u, 2u),
+                         [](const ::testing::TestParamInfo<std::size_t>& p) {
+                           return "W" + std::to_string(p.param);
+                         });
+
 }  // namespace
-}  // namespace colex::rt
+}  // namespace colex::coro

@@ -128,18 +128,20 @@ TEST(DeepIntegration, ExplorerFindsAllSchedulesOfReplicatedRun) {
   EXPECT_GE(stats.leaves, 1u);
 }
 
-TEST(DeepIntegration, ThreadedReplicatedComposedStack) {
-  // The triple stack on real threads: replication adapter over composition
-  // over election over the thread fabric.
+TEST(DeepIntegration, ExecutorReplicatedComposedStack) {
+  // The triple stack on two worker threads: replication adapter over
+  // composition over election over the executor's channels.
   const std::vector<std::uint64_t> ids{4, 9, 2};
-  const auto result = rt::run_automata_on_threads(
-      ids.size(), {}, [&ids](sim::NodeId v) {
+  const auto result = coro::run_automata_on_coro(
+      ids.size(), {},
+      [&ids](sim::NodeId v) {
         return std::make_unique<co::ReplicatedAdapter>(
             std::make_unique<colib::ComposedNode>(
                 ids[v], std::make_unique<colib::BroadcastApp>(321)),
             1);
-      });
-  ASSERT_TRUE(result.completed);
+      },
+      {2, 30'000, nullptr});
+  ASSERT_TRUE(result.completed) << result.stall_dump;
   ASSERT_TRUE(result.all_terminated);
   for (const auto& automaton : result.automata) {
     const auto& adapter =

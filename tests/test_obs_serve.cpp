@@ -1,6 +1,6 @@
 // The live telemetry plane: Prometheus text encoder, snapshot reload,
 // the /metrics HTTP server, the flight recorder, and the per-phase pulse
-// series on both blocking runtimes.
+// series on the coroutine executor.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -267,25 +267,6 @@ std::uint64_t phase_series_sum(obs::Registry& reg, const std::string& family) {
   return sum;
 }
 
-TEST(PhaseSeries, ThreadRingPulsesSumToFabricTotal) {
-  const std::vector<std::uint64_t> ids = {4, 2, 7, 1, 5};
-  Registry reg;
-  const rt::ThreadRunResult r = rt::run_on_threads(
-      ids, {}, rt::ThreadAlg::alg2, /*timeout_ms=*/30'000, nullptr, &reg);
-  ASSERT_TRUE(r.completed);
-  // Clean fabric: every pulse was sent by a node in some phase.
-  EXPECT_EQ(phase_series_sum(reg, "rt.pulses"), r.pulses);
-  // Algorithm 2 completes within the exact Theorem 1 budget, so the margin
-  // gauge is non-negative and the bound gauge carries n(2*IDmax+1).
-  EXPECT_EQ(reg.gauge("rt.pulse_bound").value(),
-            static_cast<double>(ids.size() * (2 * 7 + 1)));
-  EXPECT_GE(reg.gauge("rt.pulse_margin").value(), 0.0);
-  // The termination pulse is attributed to the initiator's wait phase.
-  EXPECT_GT(reg.counter(labeled("rt.pulses", "phase", "initiated_wait"))
-                .value(),
-            0u);
-}
-
 TEST(PhaseSeries, CoroPulsesSumToFabricTotal) {
   const std::vector<std::uint64_t> ids = {3, 9, 6, 2};
   Registry reg;
@@ -299,6 +280,10 @@ TEST(PhaseSeries, CoroPulsesSumToFabricTotal) {
   EXPECT_EQ(reg.gauge("coro.pulse_bound").value(),
             static_cast<double>(ids.size() * (2 * 9 + 1)));
   EXPECT_GE(reg.gauge("coro.pulse_margin").value(), 0.0);
+  // The termination pulse is attributed to the initiator's wait phase.
+  EXPECT_GT(reg.counter(labeled("coro.pulses", "phase", "initiated_wait"))
+                .value(),
+            0u);
   // Every node ended in the done phase (Algorithm 2 terminates), and the
   // distribution gauges say so.
   EXPECT_EQ(reg.gauge(labeled("coro.phase_nodes", "phase", "done")).value(),
@@ -309,8 +294,8 @@ TEST(PhaseSeries, OutcomesCarryAlwaysOnPhaseTallies) {
   // No registry attached: the per-outcome arrays still fill (plain
   // coroutine locals), so zero-overhead-when-off loses no information.
   const std::vector<std::uint64_t> ids = {2, 5, 3};
-  const rt::ThreadRunResult r = rt::run_on_threads(
-      ids, {}, rt::ThreadAlg::alg2, /*timeout_ms=*/30'000, nullptr, nullptr);
+  const coro::CoroRunResult r =
+      coro::run_on_coro(ids, {}, rt::ThreadAlg::alg2, {2, 30'000, nullptr});
   ASSERT_TRUE(r.completed);
   std::uint64_t total = 0;
   for (const auto& out : r.outcomes) {

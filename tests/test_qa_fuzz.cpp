@@ -47,11 +47,11 @@ TEST(FuzzCampaign, CleanCasesSatisfyAllPropertiesPerAlgorithm) {
 TEST(FuzzCampaign, RuntimeSubstratesAgreeOnFuzzedCleanCases) {
   // Cross-substrate oracle on fuzzed inputs: every clean case must elect
   // the same leader set with the exact paper-predicted pulse count on all
-  // four substrates — the simulator, the ThreadRing runtime, the coroutine
-  // executor, and the real-socket backend (which additionally proves
-  // sent == consumed at quiescence over actual TCP connections). n stays
-  // clamped small (base_options) so real threads and sockets per case are
-  // cheap, and small enough that the socket leg always runs.
+  // three substrates — the simulator, the coroutine executor, and the
+  // real-socket backend (which additionally proves sent == consumed at
+  // quiescence over actual TCP connections). n stays clamped small
+  // (base_options) so real threads and sockets per case are cheap, and
+  // small enough that the socket leg always runs.
   const CampaignOptions options = base_options(1);
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     const FuzzCase c = generate_case(seed, options.generator);

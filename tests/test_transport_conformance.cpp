@@ -1,11 +1,11 @@
 // Cross-substrate conformance suite for the transport seam
 // (runtime/transport.hpp): the same blocking transcriptions must produce
 // IDENTICAL election results and IDENTICAL exact pulse counts on every
-// substrate — the discrete simulator (the oracle), ThreadRing, the
-// coroutine executor, and the real-socket backend — for every algorithm and
-// ring size in the battery. Plus direct contract checks of the PulsePort
-// surface TransportPort exposes: spurious-wakeup tolerance,
-// quiescence-after-done, and shutdown idempotence.
+// substrate — the discrete simulator (the oracle), the coroutine executor,
+// and the real-socket backend — for every algorithm and ring size in the
+// battery. Plus direct contract checks of the PulsePort surface
+// TransportPort exposes: spurious-wakeup tolerance, quiescence-after-done,
+// and shutdown idempotence.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -95,8 +95,6 @@ TEST_P(TransportConformance, AllSubstratesMatchSimulatorExactly) {
       << "simulator itself missed the paper's exact count";
   const rt::ThreadAlg alg = thread_alg(c.alg);
 
-  expect_matches_sim("threads", c, oracle,
-                     rt::run_on_threads(c.ids, c.port_flips, alg));
   expect_matches_sim("coro", c, oracle,
                      coro::run_on_coro(c.ids, c.port_flips, alg, {2}));
 
@@ -278,20 +276,6 @@ TEST(TransportPortContract, ShutdownIsIdempotent) {
   io.shutdown();
   EXPECT_FALSE(ep.stopped() && !ep.error().empty());
   ::close(ctl[1]);  // the peer halves are ours to close exactly once
-}
-
-TEST(TransportPortContract, ThreadRingNodeIoModelsTransport) {
-  // The seam's origin story: NodeIo satisfies Transport directly, and its
-  // shutdown is an idempotent no-op (the fabric owns teardown).
-  rt::ThreadRing fabric(2);
-  auto io = fabric.io(0);
-  io.shutdown();
-  io.shutdown();
-  io.send(sim::Port::p1);
-  EXPECT_TRUE(fabric.io(1).recv(sim::Port::p0));
-  EXPECT_FALSE(io.stopped());
-  fabric.crash(0);  // the io handle's incarnation dies with the node
-  EXPECT_TRUE(io.stopped());
 }
 
 }  // namespace

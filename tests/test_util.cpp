@@ -13,6 +13,7 @@
 #include "obs/export.hpp"
 #include "obs/serve.hpp"
 #include "qa/repro.hpp"
+#include "runtime/progress.hpp"
 #include "sim/parallel.hpp"
 #include "util/contracts.hpp"
 #include "util/cpus.hpp"
@@ -390,6 +391,45 @@ TEST(Json, HostileStringsRoundTripThroughEveryFormat) {
     ASSERT_EQ(obs::registry_from_json(snapshot).counters().at(0).first, s)
         << i;
   }
+}
+
+// --- ProgressTracker (the executor watchdog's history) --------------------
+
+TEST(ProgressTracker, KeepsLastDepthSamplesInOrder) {
+  rt::ProgressTracker tracker(3);
+  EXPECT_EQ(tracker.depth(), 3u);
+  EXPECT_EQ(tracker.size(), 0u);
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    tracker.record(i, "sample " + std::to_string(i));
+  }
+  EXPECT_EQ(tracker.size(), 3u);
+  const auto history = tracker.history();
+  ASSERT_EQ(history.size(), 3u);
+  EXPECT_EQ(history[0], "sample 3");  // oldest retained first
+  EXPECT_EQ(history[2], "sample 5");
+}
+
+TEST(ProgressTracker, StalledTailDetectsFlatWindowOnly) {
+  rt::ProgressTracker tracker(4);
+  tracker.record(7, "a");
+  EXPECT_FALSE(tracker.stalled_tail(2));  // not enough samples yet
+  tracker.record(7, "b");
+  EXPECT_TRUE(tracker.stalled_tail(2));  // two identical values
+  tracker.record(8, "c");
+  EXPECT_FALSE(tracker.stalled_tail(2));  // progress resumed
+  EXPECT_FALSE(tracker.stalled_tail(3));  // window spans the progress step
+  tracker.record(8, "d");
+  EXPECT_TRUE(tracker.stalled_tail(2));
+  EXPECT_FALSE(tracker.stalled_tail(4));
+}
+
+TEST(ProgressTracker, RejectsDegenerateDepthAndWindow) {
+  EXPECT_THROW(rt::ProgressTracker(0), ContractViolation);
+  rt::ProgressTracker tracker(2);
+  tracker.record(1, "x");
+  tracker.record(1, "y");
+  EXPECT_THROW(tracker.stalled_tail(0), ContractViolation);
+  EXPECT_THROW(tracker.stalled_tail(3), ContractViolation);
 }
 
 }  // namespace

@@ -237,8 +237,9 @@ void rule_t002(const std::vector<SourceFile>& files,
                const ProjectIndex& project, const SymbolTable& symbols,
                const CallGraph& graph, std::vector<Finding>& out) {
   // Roots: every function whose body uses a coroutine keyword — the
-  // transcriptions in src/runtime/blocking_algs.hpp (and any fixture
-  // mirror), wherever they live.
+  // transcriptions in src/runtime/blocking_algs.hpp, the fault layer's and
+  // the automaton host's node bodies in src/coro (and any fixture mirror),
+  // wherever they live.
   std::vector<std::size_t> roots;
   for (std::size_t s = 0; s < symbols.symbols.size(); ++s) {
     const FunctionSymbol& sym = symbols.symbols[s];
@@ -253,9 +254,10 @@ void rule_t002(const std::vector<SourceFile>& files,
   if (roots.empty()) return;
 
   // Expansion is confined to functions defined under src/coro: that is the
-  // executor the coroutine bodies actually run on. The blocking substrates
-  // share the same call-site names (io.send -> NodeIo::send blocks by
-  // design), so an unconfined name-resolved BFS would condemn them all.
+  // executor the coroutine bodies actually run on. The blocking transports
+  // share the same call-site names (io.send -> src/net's EndpointIo::send,
+  // whose wait() blocks by design), so an unconfined name-resolved BFS
+  // would condemn them all.
   std::vector<std::size_t> origin;
   const std::vector<bool> reached = reachable_from(
       graph, symbols, roots,
