@@ -50,13 +50,6 @@ using namespace colex;
 
 // --- exactness: metrics on vs off must be indistinguishable --------------
 
-struct ExactnessRow {
-  bool ok = false;
-  std::uint64_t pulses_off = 0;
-  std::uint64_t pulses_on = 0;
-  std::uint64_t expected = 0;
-};
-
 bool outcomes_identical(const std::vector<rt::BlockingOutcome>& a,
                         const std::vector<rt::BlockingOutcome>& b) {
   if (a.size() != b.size()) return false;
@@ -70,12 +63,13 @@ bool outcomes_identical(const std::vector<rt::BlockingOutcome>& a,
   return true;
 }
 
-ExactnessRow coro_exactness(std::size_t n) {
+/// Algorithm 2 on n nodes, dark and then with a registry attached: prints
+/// the comparison, records it in `report` and returns whether it is exact.
+bool coro_exactness(std::size_t n, bench::JsonReport& report) {
   std::vector<std::uint64_t> ids(n);
   std::iota(ids.begin(), ids.end(), 1);
-  ExactnessRow row;
-  row.expected = static_cast<std::uint64_t>(n) *
-                 (2 * static_cast<std::uint64_t>(n) + 1);
+  const std::uint64_t expected = static_cast<std::uint64_t>(n) *
+                                 (2 * static_cast<std::uint64_t>(n) + 1);
   coro::CoroRunOptions opts;
   opts.workers = 2;
   opts.timeout_ms = 120'000;
@@ -83,12 +77,23 @@ ExactnessRow coro_exactness(std::size_t n) {
   obs::Registry reg;
   opts.metrics = &reg;
   const coro::CoroRunResult on = coro::run_on_coro(ids, {}, rt::ThreadAlg::alg2, opts);
-  row.pulses_off = off.pulses;
-  row.pulses_on = on.pulses;
-  row.ok = off.completed && on.completed && off.pulses == row.expected &&
-           on.pulses == row.expected && off.leader == on.leader &&
-           outcomes_identical(off.outcomes, on.outcomes) && !reg.empty();
-  return row;
+  const bool ok = off.completed && on.completed && off.pulses == expected &&
+                 on.pulses == expected && off.leader == on.leader &&
+                 outcomes_identical(off.outcomes, on.outcomes) && !reg.empty();
+  util::Table table(
+      {"runtime", "pulses(off)", "pulses(on)", "expected", "identical"});
+  table.add_row({"coro", std::to_string(off.pulses), std::to_string(on.pulses),
+                 std::to_string(expected), ok ? "yes" : "NO"});
+  table.print(std::cout);
+  bench::Json j = bench::Json::object();
+  j.set("check", "zero_overhead_exact")
+      .set("runtime", "coro")
+      .set("pulses_off", off.pulses)
+      .set("pulses_on", on.pulses)
+      .set("expected_pulses", expected)
+      .set("identical", ok);
+  report.add_result(std::move(j));
+  return ok;
 }
 
 // --- soak configurations --------------------------------------------------
@@ -207,15 +212,7 @@ int main(int argc, char** argv) {
   bench::WallTimer total;
 
   // --- Gate 1: zero-overhead-when-off is exact. -------------------------
-  const ExactnessRow co_exact = coro_exactness(smoke ? 1'000 : 4'000);
-  util::Table exact_table(
-      {"runtime", "pulses(off)", "pulses(on)", "expected", "identical"});
-  exact_table.add_row({"coro", std::to_string(co_exact.pulses_off),
-                       std::to_string(co_exact.pulses_on),
-                       std::to_string(co_exact.expected),
-                       co_exact.ok ? "yes" : "NO"});
-  exact_table.print(std::cout);
-  const bool exact_ok = co_exact.ok;
+  const bool exact_ok = coro_exactness(smoke ? 1'000 : 4'000, report);
 
   // --- Gate 2: armed-vs-dark soak throughput. ---------------------------
   // Run-to-run soak throughput swings far more than any plausible telemetry
@@ -300,14 +297,6 @@ int main(int argc, char** argv) {
             << (phase_ok ? "conservation-exact" : "MISMATCH") << "\n";
 
   // --- Artifact. --------------------------------------------------------
-  bench::Json je = bench::Json::object();
-  je.set("check", "zero_overhead_exact")
-      .set("runtime", "coro")
-      .set("pulses_off", co_exact.pulses_off)
-      .set("pulses_on", co_exact.pulses_on)
-      .set("expected_pulses", co_exact.expected)
-      .set("identical", co_exact.ok);
-  report.add_result(std::move(je));
   bench::Json ratio_list = bench::Json::array();
   for (const double r : ratios) ratio_list.push(r);
   bench::Json jo = bench::Json::object();
