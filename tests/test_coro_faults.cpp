@@ -228,7 +228,8 @@ TEST(CoroFaults, BackToBackCrashRecoverSameNode) {
 
 // Crash and recover at one event, for every node: one of them is the node
 // whose delivery was that event, so its dead incarnation is still running
-// when it recovers and hands the node over at its next wait.
+// when it recovers and hands the node over at its next wait — on Algorithm
+// 2 also when that delivery would have terminated it (node 2, event 95).
 TEST(CoroFaults, CrashAndRecoverAtOneEventForEveryNode) {
   for (std::size_t v = 0; v < kN; ++v) {
     SCOPED_TRACE(v);
@@ -239,6 +240,11 @@ TEST(CoroFaults, CrashAndRecoverAtOneEventForEveryNode) {
     EXPECT_EQ(r.outcomes[v].restarts, 1u);
     EXPECT_GE(r.outcomes[v].counters.sigma_cw, 1u);  // the fresh one ran
   }
+  const FaultRunResult r =
+      replayed(plan_of({at(95, sim::FaultKind::crash, 2),
+                        at(95, sim::FaultKind::recover, 2)}),
+               rt::ThreadAlg::alg2);
+  EXPECT_GE(r.outcomes[2].counters.sigma_cw, 1u);
 }
 
 // n + 1 spurious pulses on one channel: at least one surplus pulse can
