@@ -5,10 +5,11 @@
 // stabilization (Alg 1/3), consistent orientation (Alg 3).
 //
 // The bench doubles as the exploration-engine regression gate: every
-// configuration runs under both the fork-based snapshot engine and the
-// legacy replay engine, and BENCH_E12.json records wall time and
-// schedules/s for each. With --smoke, only the n=3 sweep runs and the exit
-// code enforces snapshot >= 2x replay (wired into ci.sh).
+// configuration runs under both the fork-based snapshot engine
+// (sim/explore.hpp) and the replay reference engine (qa/replay_explore.hpp),
+// and BENCH_E12.json records wall time and schedules/s for each. With
+// --smoke, only the n=3 sweep runs and the exit code enforces snapshot >=
+// 2x replay (wired into ci.sh).
 //
 // The n=4 ring at the end is the configuration the replay engine could not
 // finish in reasonable time; it runs on the parallel snapshot explorer
@@ -23,6 +24,7 @@
 #include "co/alg3.hpp"
 #include "co/election.hpp"
 #include "obs/instrument.hpp"
+#include "qa/replay_explore.hpp"
 #include "sim/explore.hpp"
 #include "sim/parallel.hpp"
 #include "util/table.hpp"
@@ -48,21 +50,20 @@ struct Row {
 Row timed_explore(const std::string& config,
                   const std::function<sim::PulseNetwork()>& build,
                   const std::function<bool(sim::PulseNetwork&)>& leaf_ok,
-                  sim::ExploreEngine engine, std::uint64_t budget) {
+                  bool replay, std::uint64_t budget) {
   Row row;
   row.config = config;
-  row.engine = sim::to_string(engine);
+  row.engine = replay ? "replay" : "snapshot";
   sim::ExploreOptions options;
   options.budget = budget;
-  options.engine = engine;
   options.telemetry = &row.telemetry;
+  const auto on_leaf = [&](sim::PulseNetwork& net) {
+    if (!leaf_ok(net)) ++row.violations;
+  };
   bench::WallTimer timer;
-  row.stats = sim::explore_all_schedules(
-      build,
-      [&](sim::PulseNetwork& net) {
-        if (!leaf_ok(net)) ++row.violations;
-      },
-      options);
+  row.stats = replay
+                  ? qa::replay_explore_all_schedules(build, on_leaf, options)
+                  : sim::explore_all_schedules(build, on_leaf, options);
   row.seconds = timer.seconds();
   return row;
 }
@@ -172,11 +173,9 @@ Json row_json(const Row& row) {
       .set("seconds", row.seconds)
       .set("schedules_per_second", row.schedules_per_second())
       // Engine-cost telemetry: clones quantify the snapshot engine's fork
-      // cost, replay_events the replay engine's re-execution cost.
+      // cost; each replay-engine visit re-runs its whole prefix.
       .set("visits", row.telemetry.visits)
-      .set("clones", row.telemetry.clones)
-      .set("replays", row.telemetry.replays)
-      .set("replay_events", row.telemetry.replay_events);
+      .set("clones", row.telemetry.clones);
   return j;
 }
 
@@ -267,12 +266,8 @@ int main(int argc, char** argv) {
   double speedup_n3 = 0;
   for (const auto& cfg : configs) {
     Row rows[2];
-    for (const auto engine :
-         {sim::ExploreEngine::snapshot, sim::ExploreEngine::replay}) {
-      const std::size_t e =
-          engine == sim::ExploreEngine::snapshot ? 0 : 1;
-      rows[e] = timed_explore(cfg.name, cfg.build, cfg.ok, engine,
-                              cfg.budget);
+    for (std::size_t e = 0; e < 2; ++e) {
+      rows[e] = timed_explore(cfg.name, cfg.build, cfg.ok, e == 1, cfg.budget);
       all_ok = all_ok && rows[e].stats.exhaustive() &&
                rows[e].violations == 0;
       table.add_row({rows[e].config, rows[e].engine,

@@ -41,7 +41,7 @@ bool export_observed_run(colex::bench::JsonReport& report) {
   sim::TraceRecorder trace;
   trace.attach(net, opts);
   obs::Registry metrics;
-  obs::PulseNetworkInstrumentation instr(metrics, {.enabled = true});
+  obs::PulseNetworkInstrumentation instr(metrics);
   instr.attach(net, opts);
   sim::RandomScheduler scheduler(11);
   const auto run = net.run(scheduler, opts);

@@ -5,10 +5,12 @@
 # own build tree so they never contaminate one another. Exits non-zero on
 # the first failing step.
 #
-#   ./ci.sh             all configurations + smokes + lint (the full gate)
+#   ./ci.sh             all configurations + smokes + lint + coverage (the
+#                       full gate)
 #   ./ci.sh --smoke     default build + full ctest + lint + the smokes and
 #                       the sim scaling gate on the default build
 #   ./ci.sh lint        just the static-analysis stage
+#   ./ci.sh coverage    just the zero-call gate on a gcov build (build-cov)
 #   ./ci.sh soak-smoke  just the soak gate on the default build
 #   ./ci.sh coro-smoke  just the coroutine-runtime gate on the default build
 #   ./ci.sh metrics-smoke  just the live-telemetry gate on the default build
@@ -21,12 +23,13 @@ case "$mode" in
   all|--all) mode=all ;;
   smoke|--smoke) mode=smoke ;;
   lint|--lint) mode=lint ;;
+  coverage|--coverage) mode=coverage ;;
   soak-smoke|--soak-smoke) mode=soak-smoke ;;
   coro-smoke|--coro-smoke) mode=coro-smoke ;;
   metrics-smoke|--metrics-smoke) mode=metrics-smoke ;;
   socket-smoke|--socket-smoke) mode=socket-smoke ;;
   *)
-    echo "usage: $0 [all|--smoke|lint|soak-smoke|coro-smoke|metrics-smoke|socket-smoke]" >&2
+    echo "usage: $0 [all|--smoke|lint|coverage|soak-smoke|coro-smoke|metrics-smoke|socket-smoke]" >&2
     exit 2
     ;;
 esac
@@ -53,30 +56,30 @@ run_config() {
 # planted violation in the fixture corpus. clang-tidy rides along when the
 # binary exists; the in-repo linter is the gate either way.
 run_lint() {
-  echo "==> [lint] configure + build colex-lint"
-  cmake -B build -S . -DCOLEX_WERROR=ON >/dev/null
-  cmake --build build -j "$jobs" --target colex-lint
+  local dir="$1" label="$2"
+  echo "==> [$label] lint: build colex-lint"
+  cmake --build "$dir" -j "$jobs" --target colex-lint
   # Wall-clock guard: the interprocedural passes (symbol table, call graph,
   # taint fixpoint) must stay cheap enough to gate every push. 60s is ~100x
   # headroom today; tripping it means a fixpoint regressed, not a slow box.
   local lint_t0 lint_t1
   lint_t0="$(date +%s)"
-  echo "==> [lint] tree scan: src tools bench"
-  ./build/tools/colex-lint --jobs "$jobs" src tools bench
-  echo "==> [lint] rule self-test: tests/lint_fixtures"
-  ./build/tools/colex-lint --self-test tests/lint_fixtures
+  echo "==> [$label] lint: tree scan: src tools bench"
+  "$dir"/tools/colex-lint --jobs "$jobs" src tools bench
+  echo "==> [$label] lint: rule self-test: tests/lint_fixtures"
+  "$dir"/tools/colex-lint --self-test tests/lint_fixtures
   lint_t1="$(date +%s)"
   if [ "$((lint_t1 - lint_t0))" -gt 60 ]; then
-    echo "==> [lint] FAIL: scan + self-test took $((lint_t1 - lint_t0))s (budget 60s)"
+    echo "==> [$label] lint: FAIL: scan + self-test took $((lint_t1 - lint_t0))s (budget 60s)"
     exit 1
   fi
-  echo "==> [lint] scan + self-test in $((lint_t1 - lint_t0))s (budget 60s)"
+  echo "==> [$label] lint: scan + self-test in $((lint_t1 - lint_t0))s (budget 60s)"
   if command -v clang-tidy >/dev/null 2>&1; then
-    echo "==> [lint] clang-tidy (via build/compile_commands.json)"
+    echo "==> [$label] lint: clang-tidy (via $dir/compile_commands.json)"
     find src -name '*.cpp' -print0 \
-      | xargs -0 clang-tidy -p build --quiet
+      | xargs -0 clang-tidy -p "$dir" --quiet
   else
-    echo "==> [lint] clang-tidy not installed; skipped (colex-lint is the gate)"
+    echo "==> [$label] lint: clang-tidy not installed; skipped (colex-lint is the gate)"
   fi
 }
 
@@ -118,9 +121,10 @@ run_coro_smoke() {
 
 # Live-telemetry smoke: serve /metrics mid-soak, scrape it with the in-repo
 # client (colex-top --raw; no curl dependency), and require (a) the headline
-# election counter plus every per-phase pulse series on the wire, and (b)
-# the scrape's `# TYPE` family set to equal the end-of-run snapshot rendered
-# by `colex-inspect metrics` — one encoder, two views, directly diffable.
+# election counter plus every per-phase pulse series on the wire, (b) the
+# monitor's flight-recorder tail on /debug/flight, and (c) the scrape's
+# `# TYPE` family set to equal the end-of-run snapshot rendered by
+# `colex-inspect metrics` — one encoder, two views, directly diffable.
 run_metrics_smoke() {
   local dir="$1" label="$2"
   echo "==> [$label] metrics smoke: colex-soak --serve + colex-top scrape"
@@ -150,6 +154,9 @@ run_metrics_smoke() {
   for phase in probe elected initiated_wait orientation_flip done adversary; do
     grep -q "^colex_pulses_total{phase=\"$phase\"} " "$work/scrape.txt"
   done
+  "$dir"/tools/colex-top --port "$port" --once --raw --path /debug/flight \
+      > "$work/flight.txt"
+  grep -q '^flight recorder tail (' "$work/flight.txt"
   wait "$soak_pid"
   grep -q '"ok":true' "$work/summary.json"
   "$dir"/tools/colex-inspect metrics "$work/snap.jsonl" > "$work/final.txt"
@@ -217,9 +224,193 @@ run_sim_scaling_gate() {
   grep -q '"gate_scaling_ok": true' "$dir/BENCH_E10.json"
 }
 
+# Exploration-engine smoke: the n=3 exhaustive sweep must finish, agree
+# across the snapshot engine and the replay reference engine, and show the
+# snapshot engine >= 2x over replay (it writes BENCH_E12.json for the perf
+# trail).
+run_e12_smoke() {
+  local dir="$1" label="$2"
+  echo "==> [$label] bench smoke: bench_e12_exhaustive --smoke"
+  cmake --build "$dir" -j "$jobs" --target bench_e12_exhaustive >/dev/null
+  (cd "$dir" && ./bench/bench_e12_exhaustive --smoke)
+}
+
+# Observability smoke: E1 exports an instrumented trace, and the inspector
+# must load it, audit conservation, and confirm the Theorem 1 pulse bound
+# from the recorded stream alone. The trace, its Chrome export and the
+# tree's colex-lint --json report must be valid JSON. The inspector's
+# verdict is captured and echoed rather than teed to /dev/stderr: tee
+# reopens that path, which truncates a log the whole run is redirected to.
+run_obs_smoke() {
+  local dir="$1" label="$2"
+  echo "==> [$label] obs smoke: bench_e1_theorem1 --smoke + colex-inspect check"
+  cmake --build "$dir" -j "$jobs" \
+      --target bench_e1_theorem1 colex-inspect colex-lint >/dev/null
+  (cd "$dir" && ./bench/bench_e1_theorem1 --smoke)
+  local verdict
+  verdict="$(cd "$dir" && ./tools/colex-inspect check TRACE_E1.jsonl)"
+  echo "$verdict"
+  grep -q "theorem1-bound: OK" <<< "$verdict"
+  (cd "$dir" \
+    && ./tools/colex-inspect chrome TRACE_E1.jsonl TRACE_E1.chrome.json \
+    && ./tools/colex-inspect diff TRACE_E1.jsonl TRACE_E1.jsonl >/dev/null)
+  "$dir"/tools/colex-lint --json src tools bench > "$dir/LINT_TREE.json"
+  check_json "$dir/TRACE_E1.jsonl" "$dir/TRACE_E1.chrome.json" \
+      "$dir/LINT_TREE.json"
+}
+
+# Fuzz smoke: a fixed-seed clean+faulty campaign must survive with no
+# counterexample; the planted bound defect must be found, shrink to a
+# minimal repro that replays deterministically (colex-fuzz --replay), and
+# export a trace that still passes the REAL Theorem 1 bound in
+# colex-inspect. The committed repro file is the regression gate: the
+# pipeline must keep reproducing it byte-for-byte semantics forever. The
+# repro and the trace must be valid JSON.
+run_fuzz_smoke() {
+  local dir="$1" label="$2"
+  echo "==> [$label] fuzz smoke: colex-fuzz campaigns + replay gates"
+  cmake --build "$dir" -j "$jobs" --target colex-fuzz colex-inspect >/dev/null
+  (cd "$dir" && ./tools/colex-fuzz run --seeds 120 --fault-fraction 0.3 --json)
+  if (cd "$dir" && ./tools/colex-fuzz run --seeds 5 --algs alg2 --planted \
+        --repro-out FUZZ_PLANTED.jsonl --trace-out FUZZ_PLANTED_TRACE.jsonl \
+        > /dev/null); then
+    echo "planted campaign unexpectedly passed"
+    exit 1
+  fi
+  (cd "$dir" && ./tools/colex-fuzz --replay FUZZ_PLANTED.jsonl)
+  local verdict
+  verdict="$(cd "$dir" && ./tools/colex-inspect check FUZZ_PLANTED_TRACE.jsonl)"
+  echo "$verdict"
+  grep -q "theorem1-bound: OK" <<< "$verdict"
+  local committed="$PWD/tests/data/planted_bound_repro.jsonl"
+  (cd "$dir" && ./tools/colex-fuzz --replay "$committed")
+  check_json "$dir/FUZZ_PLANTED.jsonl" "$dir/FUZZ_PLANTED_TRACE.jsonl"
+}
+
+# Zero-call gate: a Debug --coverage build runs ctest and the smokes above,
+# then gcov's JSON output is read for every object. E16's smoke is left out
+# (minutes at -O0, and it calls nothing the others miss), and so is E17's:
+# its armed-vs-dark throughput gate means nothing with gcov's counters in
+# every line, and the metrics smoke's /debug/flight scrape reaches the one
+# function only it called. A function is
+# keyed by its source file and definition line, so an inline or template
+# function counts as called when any instantiation in any translation unit
+# ran. Every src/ function that never ran must be listed in
+# tools/coverage_allowlist.txt as "<file> <function> <reason>", where
+# <function> is the qualified name without parameter or template lists (an
+# entry covers every overload of that name in that file); the stage fails
+# on any unlisted one and prints the listed ones that run now. gcov sees
+# only what some translation unit emitted: an inline or template function
+# that nothing instantiates is invisible to it. The gate counts functions,
+# not lines; line counts drift by a few between identical runs.
+run_coverage() {
+  local dir=build-cov label=coverage
+  echo "==> [$label] configure ($dir: Debug, --coverage)"
+  cmake -B "$dir" -S . -DCOLEX_WERROR=ON -DCMAKE_BUILD_TYPE=Debug \
+      -DCMAKE_CXX_FLAGS=--coverage -DCMAKE_EXE_LINKER_FLAGS=--coverage \
+      >/dev/null
+  echo "==> [$label] build"
+  cmake --build "$dir" -j "$jobs"
+  find "$dir" -name '*.gcda' -delete
+  echo "==> [$label] ctest"
+  (cd "$dir" && ctest --output-on-failure -j "$jobs")
+  run_lint "$dir" "$label"
+  run_soak_smoke "$dir" "$label"
+  run_metrics_smoke "$dir" "$label"
+  run_socket_smoke "$dir" "$label"
+  run_sim_scaling_gate "$dir" "$label"
+  run_e12_smoke "$dir" "$label"
+  run_obs_smoke "$dir" "$label"
+  run_fuzz_smoke "$dir" "$label"
+  echo "==> [$label] zero-call src/ functions vs tools/coverage_allowlist.txt"
+  python3 - "$dir" tools/coverage_allowlist.txt <<'PY'
+import json
+import os
+import re
+import subprocess
+import sys
+
+build, allowlist = sys.argv[1:3]
+root = os.path.realpath(".")
+src = os.path.join(root, "src") + os.sep
+
+# Operators whose names hold the bracket characters stripped below.
+OPS = ["operator()", "operator<=>", "operator<<", "operator>>", "operator<=",
+       "operator>=", "operator->", "operator<", "operator>"]
+
+
+def short_name(demangled):
+    """Qualified name without return type, parameter or template lists."""
+    s = re.sub(r"\[abi:[^\]]*\]", "", demangled)
+    s = s.replace("(anonymous namespace)", "{anon}")
+    for i, op in enumerate(OPS):
+        s = s.replace(op, "@%d@" % i)
+    out, depth = [], 0
+    for ch in s:
+        if ch in "(<":
+            depth += 1
+        elif ch in ")>":
+            depth -= 1
+        elif depth == 0:
+            out.append(ch)
+    s = re.sub(r"(\s+(const|volatile|&|&&))+$", "", "".join(out).strip())
+    s = s.split()[-1]
+    for i, op in enumerate(OPS):
+        s = s.replace("@%d@" % i, op)
+    return s
+
+
+notes = sorted(os.path.join(d, f) for d, _, files in os.walk(build)
+               for f in files if f.endswith(".gcno"))
+gcov = subprocess.run(["gcov", "--json-format", "--stdout"] + notes,
+                      capture_output=True, text=True, check=True)
+calls, names = {}, {}
+for doc in gcov.stdout.splitlines():
+    unit = json.loads(doc)
+    for f in unit["files"]:
+        path = os.path.realpath(
+            os.path.join(unit["current_working_directory"], f["file"]))
+        if not path.startswith(src):
+            continue
+        for fn in f["functions"]:
+            key = (os.path.relpath(path, root), fn["start_line"])
+            calls[key] = calls.get(key, 0) + fn["execution_count"]
+            names.setdefault(
+                key, short_name(fn.get("demangled_name", fn["name"])))
+
+listed = set()
+with open(allowlist, encoding="utf-8") as f:
+    for n, line in enumerate(f, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(None, 2)
+        if len(fields) < 3:
+            sys.exit("%s:%d: want '<file> <function> <reason>'" % (allowlist, n))
+        listed.add((fields[0], fields[1]))
+
+zero = sorted(k for k, c in calls.items() if c == 0)
+unlisted = [k for k in zero if (k[0], names[k]) not in listed]
+print("    %d of %d src/ functions never called, %d of them listed"
+      % (len(zero), len(calls), len(zero) - len(unlisted)))
+for entry in sorted(listed - {(k[0], names[k]) for k in zero}):
+    print("    listed but no longer a zero-call function: %s %s" % entry)
+for k in unlisted:
+    print("    NOT LISTED: %s:%d %s" % (k[0], k[1], names[k]))
+sys.exit(1 if unlisted else 0)
+PY
+}
+
 if [ "$mode" = lint ]; then
-  run_lint
+  cmake -B build -S . -DCOLEX_WERROR=ON >/dev/null
+  run_lint build lint
   echo "==> lint green"
+  exit 0
+fi
+
+if [ "$mode" = coverage ]; then
+  run_coverage
+  echo "==> coverage green"
   exit 0
 fi
 
@@ -256,7 +447,7 @@ fi
 run_config build default "" -DCOLEX_WERROR=ON
 
 # 2. Static analysis on the tree just built.
-run_lint
+run_lint build default
 
 # 3. Soak smoke on the default build (repeated under the sanitizers below).
 run_soak_smoke build default
@@ -312,45 +503,20 @@ run_config build-tsan tsan \
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
 run_soak_smoke build-tsan tsan
 
-# 8. Bench smoke: the n=3 exhaustive sweep must finish, agree across both
-#    exploration engines, and show the snapshot engine >= 2x over replay
-#    (it writes BENCH_E12.json for the perf trail).
-echo "==> [bench-smoke] bench_e12_exhaustive --smoke"
-(cd build && ./bench/bench_e12_exhaustive --smoke)
+# 8. Exploration-engine smoke on the default build.
+run_e12_smoke build default
 
-# 9. Observability smoke: E1 exports an instrumented trace, and the
-#    inspector must load it, audit conservation, and confirm the Theorem 1
-#    pulse bound from the recorded stream alone. The trace, its Chrome
-#    export and the tree's colex-lint --json report must be valid JSON.
-echo "==> [obs-smoke] bench_e1_theorem1 --smoke + colex-inspect check"
-(cd build && ./bench/bench_e1_theorem1 --smoke \
-  && ./tools/colex-inspect check TRACE_E1.jsonl | tee /dev/stderr \
-     | grep -q "theorem1-bound: OK" \
-  && ./tools/colex-inspect chrome TRACE_E1.jsonl TRACE_E1.chrome.json \
-  && ./tools/colex-inspect diff TRACE_E1.jsonl TRACE_E1.jsonl >/dev/null)
-./build/tools/colex-lint --json src tools bench > build/LINT_TREE.json
-check_json build/TRACE_E1.jsonl build/TRACE_E1.chrome.json build/LINT_TREE.json
+# 9. Observability smoke on the default build.
+run_obs_smoke build default
 
-# 10. Fuzz smoke (on the sanitized build, so every generated schedule and
-#    fault plan also runs under ASan+UBSan): a fixed-seed clean+faulty
-#    campaign must survive with no counterexample; the planted bound defect
-#    must be found, shrink to a minimal repro that replays deterministically
-#    (colex-fuzz --replay), and export a trace that still passes the REAL
-#    Theorem 1 bound in colex-inspect. The committed repro file is the
-#    regression gate: the pipeline must keep reproducing it byte-for-byte
-#    semantics forever. The repro and the trace must be valid JSON.
-echo "==> [fuzz-smoke] colex-fuzz campaigns + replay gates"
-(cd build-asan \
-  && ./tools/colex-fuzz run --seeds 120 --fault-fraction 0.3 --json \
-  && if ./tools/colex-fuzz run --seeds 5 --algs alg2 --planted \
-         --repro-out FUZZ_PLANTED.jsonl --trace-out FUZZ_PLANTED_TRACE.jsonl \
-         > /dev/null; then
-       echo "planted campaign unexpectedly passed"; exit 1
-     fi \
-  && ./tools/colex-fuzz --replay FUZZ_PLANTED.jsonl \
-  && ./tools/colex-inspect check FUZZ_PLANTED_TRACE.jsonl | tee /dev/stderr \
-     | grep -q "theorem1-bound: OK" \
-  && ./tools/colex-fuzz --replay ../tests/data/planted_bound_repro.jsonl)
-check_json build-asan/FUZZ_PLANTED.jsonl build-asan/FUZZ_PLANTED_TRACE.jsonl
+# 10. Fuzz smoke on the sanitized build, so every generated schedule and
+#     fault plan also runs under ASan+UBSan.
+ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
+UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1}" \
+run_fuzz_smoke build-asan asan+ubsan
+
+# 11. Zero-call gate on a gcov build: no src/ function may go unrun by the
+#     tests and smokes without a listed reason.
+run_coverage
 
 echo "==> all configurations green"

@@ -16,10 +16,6 @@ class ChangRobertsNode final : public BaselineNode {
  public:
   explicit ChangRobertsNode(std::uint64_t id) : id_(id) {}
 
-  std::unique_ptr<MsgAutomaton> clone() const override {
-    return std::make_unique<ChangRobertsNode>(*this);
-  }
-
   void start(MsgContext& ctx) override {
     Msg m;
     m.kind = Msg::Kind::candidate;

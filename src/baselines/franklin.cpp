@@ -22,10 +22,6 @@ class FranklinNode final : public BaselineNode {
  public:
   explicit FranklinNode(std::uint64_t id) : id_(id) {}
 
-  std::unique_ptr<MsgAutomaton> clone() const override {
-    return std::make_unique<FranklinNode>(*this);
-  }
-
   void start(MsgContext& ctx) override { send_round(ctx); }
 
   void react(MsgContext& ctx) override {

@@ -22,10 +22,6 @@ class HsNode final : public BaselineNode {
  public:
   explicit HsNode(std::uint64_t id) : id_(id) {}
 
-  std::unique_ptr<MsgAutomaton> clone() const override {
-    return std::make_unique<HsNode>(*this);
-  }
-
   void start(MsgContext& ctx) override { send_probes(ctx); }
 
   void react(MsgContext& ctx) override {

@@ -21,10 +21,6 @@ class ItaiRodehNode final : public BaselineNode {
   ItaiRodehNode(std::size_t n, std::uint64_t seed)
       : n_(static_cast<std::uint32_t>(n)), rng_(seed) {}
 
-  std::unique_ptr<MsgAutomaton> clone() const override {
-    return std::make_unique<ItaiRodehNode>(*this);
-  }
-
   void start(MsgContext& ctx) override { new_phase(ctx); }
 
   void react(MsgContext& ctx) override {

@@ -17,10 +17,6 @@ class LeLannNode final : public BaselineNode {
  public:
   explicit LeLannNode(std::uint64_t id) : id_(id) {}
 
-  std::unique_ptr<MsgAutomaton> clone() const override {
-    return std::make_unique<LeLannNode>(*this);
-  }
-
   void start(MsgContext& ctx) override {
     Msg m;
     m.kind = Msg::Kind::candidate;

@@ -17,10 +17,6 @@ class PetersonNode final : public BaselineNode {
  public:
   explicit PetersonNode(std::uint64_t id) : id_(id), tid_(id) {}
 
-  std::unique_ptr<MsgAutomaton> clone() const override {
-    return std::make_unique<PetersonNode>(*this);
-  }
-
   void start(MsgContext& ctx) override { send_tid(ctx, tid_); }
 
   void react(MsgContext& ctx) override {

@@ -55,7 +55,6 @@ class ReplicatedAdapter final : public sim::PulseAutomaton {
     GroupContext(sim::PulseContext& outer, ReplicatedAdapter& adapter)
         : outer_(outer), adapter_(adapter) {}
 
-    sim::NodeId self() const override { return outer_.self(); }
     std::size_t queued(sim::Port p) const override {
       return adapter_.logical_available(p);
     }

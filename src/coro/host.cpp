@@ -11,7 +11,6 @@ class CoroContext final : public sim::PulseContext {
  public:
   CoroContext(Executor& ex, std::uint32_t self) : ex_(ex), self_(self) {}
 
-  sim::NodeId self() const override { return self_; }
   std::size_t queued(sim::Port p) const override {
     return ex_.queued_pulses(self_, p);
   }

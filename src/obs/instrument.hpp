@@ -20,19 +20,18 @@
 namespace colex::obs {
 
 /// Attaches per-node / per-direction pulse counters and quiescence-latency
-/// gauges to one network run. Disabled options make attach() a strict
-/// no-op, leaving the run bit-identical and hook-free.
+/// gauges to one network run. A run that constructs none stays
+/// bit-identical and hook-free.
 ///
 ///   obs::Registry reg;
-///   obs::NetworkInstrumentation<sim::Pulse> instr(reg, {.enabled = true});
+///   obs::NetworkInstrumentation<sim::Pulse> instr(reg);
 ///   instr.attach(net, opts);          // chains existing hooks
 ///   net.run(scheduler, opts);
 ///   instr.finish(net);                // latch end-of-run gauges
 template <typename P>
 class NetworkInstrumentation {
  public:
-  explicit NetworkInstrumentation(Registry& registry, ObsOptions options)
-      : registry_(registry), options_(options) {}
+  explicit NetworkInstrumentation(Registry& registry) : registry_(registry) {}
 
   /// `net` must already sit in its final storage location: the phase
   /// observer samples `net.automaton(v).phase()` through a captured
@@ -40,7 +39,6 @@ class NetworkInstrumentation {
   /// (re-resolving through the network — not caching automaton pointers —
   /// is what keeps crash/recover automaton replacement safe).
   void attach(sim::Network<P>& net, sim::BasicRunOptions<P>& opts) {
-    if (!options_.enabled) return;
     const std::size_t n = net.size();
     // Resolve every handle up front: the hooks below touch no strings.
     sends_ = &registry_.counter("net.sends");
@@ -89,12 +87,11 @@ class NetworkInstrumentation {
   }
 
   /// Publishes the end-of-run gauges from the network's ground-truth
-  /// counters. Call after net.run(); no-op when disabled. Pass the
+  /// counters. Call after net.run(). Pass the
   /// Theorem 1 pulse bound (n(2*IDmax+1), 0 = unknown) to also latch the
   /// bound and the remaining margin as gauges — the same numbers
   /// colex-inspect recomputes from a recorded trace.
   void finish(const sim::Network<P>& net, std::uint64_t pulse_bound = 0) {
-    if (!options_.enabled) return;
     const auto counters = net.counters();
     // The fabric can carry pulses no node sent (spurious injections) and
     // lose pulses nodes did send (drops). Attribute the positive residual
@@ -128,7 +125,6 @@ class NetworkInstrumentation {
   static constexpr std::uint64_t kUnset = static_cast<std::uint64_t>(-1);
 
   Registry& registry_;
-  ObsOptions options_;
   Counter* sends_ = nullptr;
   Counter* sends_cw_ = nullptr;
   Counter* sends_ccw_ = nullptr;
@@ -145,7 +141,7 @@ class NetworkInstrumentation {
 using PulseNetworkInstrumentation = NetworkInstrumentation<sim::Pulse>;
 
 /// Publishes an exploration's stats + telemetry under `prefix` (e.g.
-/// "explore.snapshot"): schedules/sec, visit/clone/replay counts, frontier
+/// "explore.snapshot"): schedules/sec, visit and clone counts, frontier
 /// queue depth.
 inline void publish_explore(Registry& registry, const std::string& prefix,
                             const sim::ExploreStats& stats,
@@ -156,8 +152,6 @@ inline void publish_explore(Registry& registry, const std::string& prefix,
       .track_max(static_cast<double>(stats.max_depth));
   registry.counter(prefix + ".visits").inc(telemetry.visits);
   registry.counter(prefix + ".clones").inc(telemetry.clones);
-  registry.counter(prefix + ".replays").inc(telemetry.replays);
-  registry.counter(prefix + ".replay_events").inc(telemetry.replay_events);
   registry.gauge(prefix + ".seconds").set(telemetry.seconds);
   registry.gauge(prefix + ".schedules_per_second")
       .set(telemetry.schedules_per_second(stats));

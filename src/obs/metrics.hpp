@@ -5,8 +5,9 @@
 // Design
 // ------
 // * Zero overhead when disabled. Every instrumentation site in the tree is
-//   gated on a nullable Registry pointer (or ObsOptions::enabled); with the
-//   default-disabled options, the hot paths pay at most one pointer test.
+//   gated on a nullable Registry pointer (or on whether a
+//   NetworkInstrumentation was attached at all); with the default null
+//   pointers, the hot paths pay at most one pointer test.
 // * Lock-free-friendly by OWNERSHIP, not by atomics: a Registry is a plain
 //   single-threaded object. Concurrent producers (the parallel explorer's
 //   workers, the socket ring's node threads) each write their own registry (or
@@ -31,13 +32,6 @@
 #include "util/json.hpp"
 
 namespace colex::obs {
-
-/// Master switch for an instrumented run. Default-disabled: every layer
-/// that accepts ObsOptions must be bit-identical in behavior and within
-/// noise in cost when `enabled` is false.
-struct ObsOptions {
-  bool enabled = false;
-};
 
 /// Composes a labeled metric name: `labeled("pulses", "phase", "probe")`
 /// yields `pulses{phase=probe}`. The Prometheus encoder (obs/serve.hpp)

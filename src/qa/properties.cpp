@@ -11,6 +11,7 @@
 #include "co/oriented.hpp"
 #include "coro/run.hpp"
 #include "net/run.hpp"
+#include "qa/replay_explore.hpp"
 #include "runtime/blocking_algs.hpp"
 #include "sim/explore.hpp"
 #include "sim/faults.hpp"
@@ -193,25 +194,6 @@ RunOutcome execute_case(const FuzzCase& c) {
   return out;
 }
 
-std::vector<std::string> property_names(const FuzzCase& c,
-                                        const PropertyOptions& opts) {
-  std::vector<std::string> names;
-  if (c.clean()) {
-    names.emplace_back("invariants");
-    names.emplace_back("quiescence");
-    if (c.alg == Algorithm::alg2) names.emplace_back("termination");
-    names.emplace_back("valid-election");
-    if (!oriented(c.alg)) names.emplace_back("orientation");
-    names.emplace_back("pulse-bound");
-  }
-  names.emplace_back("trace-audit");
-  if (opts.planted_bound_bug && c.clean()) {
-    names.emplace_back("planted-bound-off-by-one");
-  }
-  if (opts.check_replay) names.emplace_back("replay-agreement");
-  return names;
-}
-
 CaseResult check_case(const FuzzCase& c, const PropertyOptions& opts) {
   CaseResult r;
   r.outcome = execute_case(c);
@@ -340,20 +322,15 @@ std::string check_engine_agreement(const FuzzCase& c, std::uint64_t budget) {
   auto build = [&c]() { return build_case_network(c); };
   sim::ExploreStats stats[2];
   std::vector<std::uint64_t> digests[2];
-  const sim::ExploreEngine engines[2] = {sim::ExploreEngine::snapshot,
-                                         sim::ExploreEngine::replay};
-  for (int i = 0; i < 2; ++i) {
-    sim::ExploreOptions options;
-    options.budget = budget;
-    options.engine = engines[i];
-    auto& sink = digests[i];
-    stats[i] = sim::explore_all_schedules(
-        build,
-        [&sink, &c](sim::PulseNetwork& net) {
-          sink.push_back(leaf_digest(c, net));
-        },
-        options);
-  }
+  sim::ExploreOptions options;
+  options.budget = budget;
+  const auto leaf_into = [&c](std::vector<std::uint64_t>& sink) {
+    return [&sink, &c](sim::PulseNetwork& net) {
+      sink.push_back(leaf_digest(c, net));
+    };
+  };
+  stats[0] = sim::explore_all_schedules(build, leaf_into(digests[0]), options);
+  stats[1] = replay_explore_all_schedules(build, leaf_into(digests[1]), options);
   if (!(stats[0] == stats[1])) {
     return "engine stats diverge: snapshot leaves=" +
            std::to_string(stats[0].leaves) +

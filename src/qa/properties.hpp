@@ -85,12 +85,9 @@ RunOutcome execute_case(const FuzzCase& c);
 /// Runs the applicable property set and reports the first failure.
 CaseResult check_case(const FuzzCase& c, const PropertyOptions& opts = {});
 
-/// The property names check_case may report for this case, in check order.
-std::vector<std::string> property_names(const FuzzCase& c,
-                                        const PropertyOptions& opts);
-
 /// Cross-engine oracle: explores the case's configuration with both the
-/// snapshot and replay engines under the same budget and requires identical
+/// snapshot engine (sim/explore.hpp) and the replay engine
+/// (qa/replay_explore.hpp) under the same budget and requires identical
 /// stats and identical per-leaf outcomes. Clean cases only. Empty = agree.
 std::string check_engine_agreement(const FuzzCase& c, std::uint64_t budget);
 

@@ -2,34 +2,26 @@
 // small configurations, enumerate EVERY delivery order the asynchronous
 // adversary could choose and validate each complete execution.
 //
-// Two engines share one tree definition (branch on every pending channel,
-// in ascending channel order; a leaf is a quiescent execution):
+// The tree: branch on every pending channel, in ascending channel order; a
+// leaf is a quiescent execution. The engine is a fork-based DFS. The
+// frontier state is a live Network; each branch forks it with
+// Network::clone() and advances the fork one delivery with deliver_step().
+// Cost per tree node: one clone plus one delivery (the last branch reuses
+// the parent state in place, so chains cost no clone at all). This is what
+// makes n = 4 rings and high-budget fault sweeps exhaustively checkable.
 //
-//  * snapshot (default) — fork-based DFS. The frontier state is a live
-//    Network; each branch forks it with Network::clone() and advances the
-//    fork one delivery with deliver_step(). Cost per tree node: one clone
-//    plus one delivery (the last branch reuses the parent state in place,
-//    so chains cost no clone at all). This is the engine that makes n = 4
-//    rings and high-budget fault sweeps exhaustively checkable.
-//
-//  * replay (legacy) — re-runs the entire schedule prefix from the initial
-//    state with ReplayScheduler at every tree node, i.e. O(depth) work per
-//    node. Kept behind ExploreOptions::engine for the engine-equivalence
-//    test (tests/test_explore_engines.cpp) and as the perf baseline that
-//    BENCH_E12.json measures the snapshot engine against.
-//
-// Both engines visit the same states in the same order and therefore
-// produce identical ExploreStats and identical per-leaf outcome sequences.
+// qa/replay_explore.hpp keeps the replay-from-scratch engine that defines
+// the same tree without forking; tests/test_explore_engines.cpp and
+// qa::check_engine_agreement require identical stats and per-leaf outcome
+// sequences from both, and BENCH_E12.json times one against the other.
 // For multi-threaded exploration of the same tree see sim/parallel.hpp.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "sim/network.hpp"
-#include "sim/scheduler.hpp"
 #include "util/contracts.hpp"
 
 namespace colex::sim {
@@ -45,14 +37,12 @@ struct ExploreStats {
 
 /// Telemetry an exploration optionally emits (ExploreOptions::telemetry).
 /// Plain data, deliberately obs-agnostic: obs/instrument.hpp knows how to
-/// publish it into a metrics registry; a null pointer costs the engines one
+/// publish it into a metrics registry; a null pointer costs the engine one
 /// branch per tree node (the zero-overhead-when-disabled contract).
 struct ExploreTelemetry {
-  std::uint64_t visits = 0;   ///< tree nodes materialized (budget units)
-  std::uint64_t clones = 0;   ///< Network::clone forks taken (snapshot)
-  std::uint64_t replays = 0;  ///< full prefix re-runs (replay engine)
-  std::uint64_t replay_events = 0;  ///< deliveries replayed across prefixes
-  double seconds = 0;               ///< wall time of the exploration
+  std::uint64_t visits = 0;  ///< tree nodes materialized (budget units)
+  std::uint64_t clones = 0;  ///< Network::clone forks taken
+  double seconds = 0;        ///< wall time of the exploration
   /// Subtree roots handed to the pool by the parallel explorer (its queue
   /// depth when the breadth-first expansion stopped); 0 for sequential runs.
   std::uint64_t frontier_subtrees = 0;
@@ -64,28 +54,16 @@ struct ExploreTelemetry {
   void merge(const ExploreTelemetry& other) {
     visits += other.visits;
     clones += other.clones;
-    replays += other.replays;
-    replay_events += other.replay_events;
     // seconds/frontier are owned by the coordinating caller, not summed:
     // per-worker wall clocks overlap.
   }
 };
 
-enum class ExploreEngine {
-  snapshot,  ///< fork the frontier state per branch (fast path)
-  replay,    ///< re-run the schedule prefix per tree node (legacy baseline)
-};
-
-constexpr const char* to_string(ExploreEngine e) {
-  return e == ExploreEngine::snapshot ? "snapshot" : "replay";
-}
-
 struct ExploreOptions {
   /// Caps the number of tree nodes visited; exceeding it marks subtrees
-  /// truncated. (For the replay engine a node visit is one full replay.)
+  /// truncated.
   std::uint64_t budget = 1'000'000;
-  ExploreEngine engine = ExploreEngine::snapshot;
-  /// Optional telemetry sink; null (the default) keeps the engines on the
+  /// Optional telemetry sink; null (the default) keeps the engine on the
   /// uninstrumented fast path.
   ExploreTelemetry* telemetry = nullptr;
 };
@@ -135,71 +113,20 @@ inline ExploreStats explore_all_schedules(
   ExploreStats stats;
   std::uint64_t budget = options.budget;
   const auto wall_start = std::chrono::steady_clock::now();
-  auto stamp_seconds = [&] {
-    if (options.telemetry) {
-      options.telemetry->seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        wall_start)
-              .count();
-    }
-  };
-
-  if (options.engine == ExploreEngine::snapshot) {
-    auto net = build();
-    net.start_all();
-    detail::snapshot_explore(net, 0, budget, stats, on_leaf,
-                             options.telemetry);
-    stamp_seconds();
-    return stats;
+  auto net = build();
+  net.start_all();
+  detail::snapshot_explore(net, 0, budget, stats, on_leaf, options.telemetry);
+  if (options.telemetry) {
+    options.telemetry->seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wall_start)
+            .count();
   }
-
-  // Legacy replay engine: materialize each tree node by re-running its
-  // schedule prefix from scratch.
-  std::vector<std::size_t> prefix;
-  std::function<void()> recurse = [&]() {
-    if (budget == 0) {
-      ++stats.truncated;
-      return;
-    }
-    --budget;
-    if (options.telemetry) {
-      ++options.telemetry->visits;
-      ++options.telemetry->replays;
-      options.telemetry->replay_events += prefix.size();
-    }
-    auto net = build();
-    ReplayScheduler replay(prefix);
-    RunOptions opts;
-    opts.max_events = prefix.size();
-    net.run(replay, opts);
-    COLEX_ASSERT(replay.divergences() == 0);
-
-    std::vector<std::size_t> pending;
-    for (std::size_t c = 0; c < net.channel_count(); ++c) {
-      if (net.channel_pending(c) > 0) pending.push_back(c);
-    }
-    if (pending.empty()) {
-      ++stats.leaves;
-      stats.max_depth =
-          std::max(stats.max_depth,
-                   static_cast<std::uint64_t>(prefix.size()));
-      on_leaf(net);
-      return;
-    }
-    for (const std::size_t c : pending) {
-      prefix.push_back(c);
-      recurse();
-      prefix.pop_back();
-      if (budget == 0) return;
-    }
-  };
-  recurse();
-  stamp_seconds();
   return stats;
 }
 
-/// Budget-only overload (snapshot engine), the drop-in signature the test
-/// and bench suite grew up with.
+/// Budget-only overload, the drop-in signature the test and bench suite
+/// grew up with.
 inline ExploreStats explore_all_schedules(
     const std::function<PulseNetwork()>& build,
     const std::function<void(PulseNetwork&)>& on_leaf,

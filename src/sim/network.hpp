@@ -44,7 +44,7 @@ template <typename P>
 class Network;
 
 /// The interface an algorithm uses to talk to the network. Deliberately
-/// minimal: non-blocking receive per port, send per port, own id. Content
+/// minimal: non-blocking receive per port and send per port. Content
 /// obliviousness is enforced by the payload type, not the interface. The
 /// interface is abstract so that adapters (e.g. the Section 1.1 replication
 /// transformation, co::ReplicatedAdapter) can interpose on a node's I/O.
@@ -52,8 +52,6 @@ template <typename P>
 class Context {
  public:
   virtual ~Context() = default;
-
-  virtual NodeId self() const = 0;
 
   /// Number of delivered-but-unconsumed payloads waiting at `p`.
   virtual std::size_t queued(Port p) const = 0;
@@ -86,7 +84,6 @@ class NetworkContext final : public Context<P> {
  public:
   NetworkContext(Network<P>& net, NodeId self) : net_(net), self_(self) {}
 
-  NodeId self() const override { return self_; }
   std::size_t queued(Port p) const override {
     return net_.inbox_size(self_, p);
   }
@@ -131,10 +128,15 @@ class Automaton {
   /// Deep copy of the automaton's current state. The fork-based schedule
   /// explorer (sim/explore.hpp) snapshots a frontier network — including
   /// every node's algorithm state — instead of replaying the schedule
-  /// prefix, so every automaton must know how to duplicate itself. The
-  /// copy must share no mutable state with the original (forks are
-  /// explored on different branches, possibly on different threads).
-  virtual std::unique_ptr<Automaton<P>> clone() const = 0;
+  /// prefix, so every automaton it forks must know how to duplicate
+  /// itself. The copy must share no mutable state with the original (forks
+  /// are explored on different branches, possibly on different threads).
+  /// The explorer forks pulse networks only; an automaton it never forks
+  /// keeps this default, which refuses.
+  virtual std::unique_ptr<Automaton<P>> clone() const {
+    throw util::ContractViolation(
+        "clone() called on an automaton that does not implement it");
+  }
 };
 
 /// What happened during a run (see `run_to_quiescence`).

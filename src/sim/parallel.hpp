@@ -34,35 +34,7 @@ namespace colex::sim {
 /// Default worker count for sweeps: the CPUs this process may run on.
 inline std::size_t default_workers() { return util::usable_cpus(); }
 
-/// Runs `count` independent tasks on up to `workers` threads; `fn(i)` is
-/// invoked exactly once for every i in [0, count). With workers <= 1 the
-/// tasks run inline on the calling thread — the zero-thread degenerate case
-/// the determinism tests compare against. `fn` must confine its writes to
-/// per-index state; it must not throw (a worker-thread exception would
-/// terminate the process).
-inline void parallel_for(std::size_t count, std::size_t workers,
-                         const std::function<void(std::size_t)>& fn) {
-  if (workers <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  std::atomic<std::size_t> cursor{0};
-  auto drain = [&cursor, count, &fn] {
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      fn(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  const std::size_t spawned = std::min(workers, count) - 1;
-  pool.reserve(spawned);
-  for (std::size_t t = 0; t < spawned; ++t) pool.emplace_back(drain);
-  drain();  // the calling thread works too
-  for (auto& th : pool) th.join();
-}
-
-/// Per-worker utilization telemetry for an instrumented parallel_for run.
+/// Per-worker utilization telemetry for a parallel_for_instrumented run.
 /// Worker 0 is the calling thread. NOTE: unlike everything else in this
 /// header, these numbers are inherently worker-count *dependent* — they
 /// describe the machine, not the computation — so they live strictly on the
@@ -72,10 +44,15 @@ struct WorkerStats {
   double busy_seconds = 0.0;    ///< wall time spent inside fn
 };
 
-/// parallel_for variant that reports which worker ran each task and how
-/// long each worker stayed busy. `fn(worker, task)`; the returned vector
-/// has one entry per worker slot (min(workers, count), at least 1). Each
-/// worker writes only its own slot, so the collection is race-free.
+/// Runs `count` independent tasks on up to `workers` threads; `fn(worker,
+/// task)` is invoked exactly once for every task in [0, count), and the
+/// returned vector says which worker ran how many tasks and how long it
+/// stayed busy: one entry per worker slot (min(workers, count), at least
+/// 1). With workers <= 1 the tasks run inline on the calling thread — the
+/// zero-thread degenerate case the determinism tests compare against.
+/// Each worker writes only its own slot, so the collection is race-free.
+/// `fn` must confine its writes to per-task state; it must not throw (a
+/// worker-thread exception would terminate the process).
 inline std::vector<WorkerStats> parallel_for_instrumented(
     std::size_t count, std::size_t workers,
     const std::function<void(std::size_t, std::size_t)>& fn) {
@@ -115,6 +92,13 @@ inline std::vector<WorkerStats> parallel_for_instrumented(
   return stats;
 }
 
+/// parallel_for_instrumented without the telemetry: `fn(task)`.
+inline void parallel_for(std::size_t count, std::size_t workers,
+                         const std::function<void(std::size_t)>& fn) {
+  parallel_for_instrumented(count, workers,
+                            [&fn](std::size_t, std::size_t i) { fn(i); });
+}
+
 struct ParallelExploreOptions {
   /// Caps tree nodes visited, split deterministically across subtrees (the
   /// frontier split below), so truncation does not depend on worker count.
@@ -128,10 +112,9 @@ struct ParallelExploreOptions {
   /// Optional telemetry sink (visits/clones summed across subtrees, wall
   /// seconds, frontier depth); null keeps the uninstrumented fast path.
   ExploreTelemetry* telemetry = nullptr;
-  /// Optional per-worker utilization sink. When set, subtrees are dispatched
-  /// through parallel_for_instrumented and the vector is replaced with one
-  /// WorkerStats per worker slot. Purely observational — results remain
-  /// worker-count oblivious either way.
+  /// Optional per-worker utilization sink. When set, the vector is replaced
+  /// with one WorkerStats per worker slot. Purely observational — results
+  /// remain worker-count oblivious either way.
   std::vector<WorkerStats>* worker_stats = nullptr;
 };
 
@@ -234,13 +217,10 @@ ExploreStats parallel_explore_all_schedules(
                              sub_stats[i], leaf,
                              options.telemetry ? &sub_telemetry[i] : nullptr);
   };
-  if (options.worker_stats) {
-    *options.worker_stats = parallel_for_instrumented(
-        subtrees, options.workers,
-        [&](std::size_t, std::size_t i) { explore_subtree(i); });
-  } else {
-    parallel_for(subtrees, options.workers, explore_subtree);
-  }
+  auto worker_stats = parallel_for_instrumented(
+      subtrees, options.workers,
+      [&](std::size_t, std::size_t i) { explore_subtree(i); });
+  if (options.worker_stats) *options.worker_stats = std::move(worker_stats);
 
   for (std::size_t i = 0; i < subtrees; ++i) {
     stats.leaves += sub_stats[i].leaves;

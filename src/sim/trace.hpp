@@ -54,8 +54,9 @@ constexpr const char* to_string(TraceEvent::Kind k) {
   return "?";
 }
 
-/// Streams one event without materializing a std::string — the fast path
-/// for exporting large traces (obs/export.hpp writes through this).
+/// Streams one event as `#index kind node= port= dir=`. gtest prints a
+/// TraceEvent through this when an EXPECT_EQ on traces fails; the
+/// colex-trace-v1 exporter (obs/export.cpp) writes its own JSON instead.
 inline std::ostream& operator<<(std::ostream& os, const TraceEvent& e) {
   os << "#" << e.index << " " << to_string(e.kind) << " node=" << e.node
      << " port=" << sim::index(e.port) << " dir=" << to_string(e.dir);

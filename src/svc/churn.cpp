@@ -27,14 +27,6 @@ bool preset_from_string(const std::string& s, ChurnPreset& out) {
   return false;
 }
 
-const char* to_string(SoakAlg alg) {
-  switch (alg) {
-    case SoakAlg::alg1: return "alg1";
-    case SoakAlg::alg2: return "alg2";
-  }
-  return "?";
-}
-
 ChurnProfile ChurnProfile::preset(ChurnPreset preset) {
   ChurnProfile p;  // defaults are the steady profile
   switch (preset) {

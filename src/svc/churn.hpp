@@ -42,8 +42,6 @@ bool preset_from_string(const std::string& s, ChurnPreset& out);
 /// without termination), Algorithm 2 the terminating one.
 enum class SoakAlg { alg1, alg2 };
 
-const char* to_string(SoakAlg alg);
-
 /// Intensity knobs for the per-slot churn engine.
 struct ChurnProfile {
   /// Fraction of first-attempt elections that run under a non-trivial plan.

@@ -29,6 +29,13 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Shard stall detection: the monitor samples every shard's finished count
+/// each kSampleEvery, keeps the last kProgressDepth samples, and flags a
+/// shard whose last kStallWindow samples are flat.
+constexpr std::chrono::milliseconds kSampleEvery{250};
+constexpr std::size_t kProgressDepth = 16;
+constexpr std::size_t kStallWindow = 8;
+
 /// Latency bucket edges (milliseconds): sim elections are tens of
 /// microseconds to a few milliseconds; the long tail catches retry storms.
 const std::vector<double> kLatencyBoundsMs = {0.01, 0.025, 0.05, 0.1,  0.25,
@@ -233,9 +240,6 @@ std::string SoakReport::to_json() const {
 SoakReport run_soak(const SoakOptions& options) {
   COLEX_EXPECTS(options.rings >= 1);
   COLEX_EXPECTS(options.duration_seconds >= 0.0);
-  COLEX_EXPECTS(options.progress_depth >= 1);
-  COLEX_EXPECTS(options.stall_window >= 1 &&
-                options.stall_window <= options.progress_depth);
   const std::size_t shard_count =
       std::min(options.rings, options.shards == 0 ? sim::default_workers()
                                                   : options.shards);
@@ -313,12 +317,12 @@ SoakReport run_soak(const SoakOptions& options) {
   SoakReport report;
   report.rings = options.rings;
   report.shards_used = shard_count;
-  rt::ProgressTracker global_progress(options.progress_depth);
+  rt::ProgressTracker global_progress(kProgressDepth);
   // deque, not vector: ProgressTracker owns a mutex and is immovable.
   std::deque<rt::ProgressTracker> shard_progress;
   std::vector<bool> shard_stalled(shard_count, false);
   for (std::size_t s = 0; s < shard_count; ++s) {
-    shard_progress.emplace_back(options.progress_depth);
+    shard_progress.emplace_back(kProgressDepth);
   }
   auto all_done = [&shards] {
     for (const auto& s : shards) {
@@ -339,7 +343,7 @@ SoakReport run_soak(const SoakOptions& options) {
            << " finished=" << finished;
         shard_progress[s].record(finished, os.str());
         if (!shards[s].done.load() &&
-            shard_progress[s].stalled_tail(options.stall_window)) {
+            shard_progress[s].stalled_tail(kStallWindow)) {
           if (!shard_stalled[s]) flight_ring.record("shard-stalled", s);
           shard_stalled[s] = true;  // sticky: reported post-join
         }
@@ -349,9 +353,7 @@ SoakReport run_soak(const SoakOptions& options) {
          << "ms started=" << shared.started.load()
          << " finished=" << shared.finished.load();
       global_progress.record(shared.finished.load(), os.str());
-      next_sample =
-          now + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(options.sample_every_seconds));
+      next_sample = now + kSampleEvery;
     }
     if (!options.snapshot_path.empty() && now >= next_snapshot) {
       if (write_snapshot(options.snapshot_path, merged_live())) {

@@ -69,11 +69,6 @@ struct SoakOptions {
   std::uint64_t min_elections = 0;
   /// Stop early once this many elections finished (0 = duration-driven).
   std::uint64_t max_elections = 0;
-  /// Shard stall detection: progress-sample cadence, history depth, and the
-  /// flat-tail window that flags a shard.
-  double sample_every_seconds = 0.25;
-  std::size_t progress_depth = 16;
-  std::size_t stall_window = 8;
   /// When non-empty, the monitor rewrites this file every
   /// snapshot_every_seconds (and once at the end) as a colex-trace-v1 JSONL
   /// snapshot embedding the current metrics — `colex-inspect summary` on it

@@ -42,7 +42,6 @@ void Table::print(std::ostream& os) const {
 }
 
 std::string Table::num(std::uint64_t v) { return std::to_string(v); }
-std::string Table::num(std::int64_t v) { return std::to_string(v); }
 
 std::string Table::fixed(double v, int digits) {
   std::ostringstream ss;

@@ -25,7 +25,6 @@ class Table {
 
   /// Formatting helpers for cells.
   static std::string num(std::uint64_t v);
-  static std::string num(std::int64_t v);
   static std::string fixed(double v, int digits = 2);
 
  private:

@@ -2,9 +2,15 @@
 // substrate) and its composition with Algorithm 2 (Corollary 5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "colib/apps.hpp"
 #include "colib/composed.hpp"
@@ -366,6 +372,142 @@ TEST(BusAblation, SkipGoCorruptsUnderAdversarialSchedules) {
   }
   EXPECT_TRUE(safe_all_ok);
   EXPECT_GT(unsafe_failures, 0);
+}
+
+// --- Forking the Corollary 5 stack mid-run -------------------------------
+// Schedule exploration forks the stack only around the election-to-bus
+// switch: the bus keeps one pulse in flight, so its runs never branch. Here
+// a ring is forked after any number of deliveries instead, and the fork
+// must finish exactly like the run it was copied from, app state included.
+
+/// Delivers the lowest-numbered pending channel until quiescence or
+/// `limit` deliveries; returns the deliveries made.
+std::size_t deliver_lowest_first(
+    sim::PulseNetwork& net,
+    std::size_t limit = std::numeric_limits<std::size_t>::max()) {
+  std::size_t steps = 0;
+  for (; steps < limit; ++steps) {
+    const auto pending = net.pending_channels();
+    if (pending.empty()) break;
+    net.deliver_step(pending.front());
+  }
+  return steps;
+}
+
+/// A bus node's pulses, whether it halted, and what its app (and
+/// simulated node) ended with.
+std::string bus_state(const BusNode& bus) {
+  std::ostringstream os;
+  os << bus.pulses_sent() << (bus.halted() ? ",halted" : "");
+  const BusApp& app = bus.app();
+  if (const auto* gather = dynamic_cast<const GatherAllApp*>(&app)) {
+    os << ",sum=" << gather->sum() << (gather->complete() ? ",all" : "");
+  } else if (const auto* sim = dynamic_cast<const SimulatorApp*>(&app)) {
+    os << ",delivered=" << sim->messages_delivered();
+    if (const auto* sum = dynamic_cast<const RingSumSimNode*>(&sim->node())) {
+      os << ",total=" << sum->total().value_or(0);
+    }
+    if (const auto* cr =
+            dynamic_cast<const ChangRobertsSimNode*>(&sim->node())) {
+      os << ",leader=" << cr->leader().value_or(0);
+    }
+  } else if (const auto* cast = dynamic_cast<const BroadcastApp*>(&app)) {
+    os << ",received=" << cast->received().value_or(0);
+  } else if (const auto* ids = dynamic_cast<const UniqueIdsApp*>(&app)) {
+    os << ",id=" << ids->assigned_id();
+  }
+  return os.str();
+}
+
+using FinalState = std::function<std::string(const sim::PulseNetwork&)>;
+
+/// Runs `build()`'s network lowest channel first to quiescence, then forks
+/// a fresh copy after every stride-th delivery; each fork must finish with
+/// the unforked run's final state.
+void expect_forks_finish_alike(const std::function<sim::PulseNetwork()>& build,
+                               const FinalState& state) {
+  sim::PulseNetwork whole = build();
+  const std::size_t total = deliver_lowest_first(whole);
+  for (sim::NodeId v = 0; v < whole.size(); ++v) {
+    ASSERT_TRUE(whole.automaton(v).terminated()) << "node " << v;
+  }
+  const std::string expected = state(whole);
+  const std::size_t stride = std::max<std::size_t>(1, total / 40);
+  for (std::size_t cut = 0; cut < total; cut += stride) {
+    sim::PulseNetwork net = build();
+    deliver_lowest_first(net, cut);
+    sim::PulseNetwork fork = net.clone();
+    deliver_lowest_first(fork);
+    EXPECT_EQ(state(fork), expected) << "forked after " << cut;
+  }
+}
+
+TEST(Forking, ComposedRingForkFinishesLikeTheOriginal) {
+  const std::vector<std::uint64_t> ids{3, 5, 2};
+  const std::vector<std::pair<const char*, AppFactory>> apps = {
+      {"gather-all",
+       [](sim::NodeId v) { return std::make_unique<GatherAllApp>(10 + v); }},
+      {"broadcast",
+       [](sim::NodeId) { return std::make_unique<BroadcastApp>(77); }},
+      {"unique-ids",
+       [](sim::NodeId) { return std::make_unique<UniqueIdsApp>(); }},
+      {"ring-sum",
+       [](sim::NodeId v) {
+         return std::make_unique<SimulatorApp>(
+             std::make_unique<RingSumSimNode>(v + 1));
+       }},
+      {"chang-roberts",
+       [](sim::NodeId v) {
+         return std::make_unique<SimulatorApp>(
+             std::make_unique<ChangRobertsSimNode>(v + 4));
+       }},
+  };
+  const FinalState state = [](const sim::PulseNetwork& net) {
+    std::ostringstream os;
+    os << net.total_sent();
+    for (sim::NodeId v = 0; v < net.size(); ++v) {
+      const auto& node = net.automaton_as<ComposedNode>(v);
+      os << '|' << co::to_string(node.election().role());
+      if (node.bus() != nullptr) os << ',' << bus_state(*node.bus());
+    }
+    return os.str();
+  };
+  for (const auto& [name, app] : apps) {
+    SCOPED_TRACE(name);
+    expect_forks_finish_alike(
+        [&ids, &app = app] {
+          auto net = sim::PulseNetwork::ring(ids.size());
+          for (sim::NodeId v = 0; v < ids.size(); ++v) {
+            net.set_automaton(v,
+                              std::make_unique<ComposedNode>(ids[v], app(v)));
+          }
+          net.start_all();
+          return net;
+        },
+        state);
+  }
+}
+
+TEST(Forking, BareBusForkFinishesLikeTheOriginal) {
+  expect_forks_finish_alike(
+      [] {
+        auto net = sim::PulseNetwork::ring(3);
+        for (sim::NodeId v = 0; v < 3; ++v) {
+          net.set_automaton(
+              v, std::make_unique<BusNode>(
+                     std::make_unique<GatherAllApp>(10 + v), v == 0));
+        }
+        net.start_all();
+        return net;
+      },
+      [](const sim::PulseNetwork& net) {
+        std::ostringstream os;
+        os << net.total_sent();
+        for (sim::NodeId v = 0; v < net.size(); ++v) {
+          os << '|' << bus_state(net.automaton_as<BusNode>(v));
+        }
+        return os.str();
+      });
 }
 
 }  // namespace

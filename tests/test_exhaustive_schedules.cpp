@@ -2,9 +2,9 @@
 // adversarial delivery order (the full tree of scheduler choices) and
 // verify the theorems hold on every leaf — model checking, not sampling.
 //
-// The default explorer forks live network snapshots at each branch point
-// (Network::clone); the legacy engine replays each choice prefix from
-// scratch through ReplayScheduler and is kept behind ExploreOptions::engine
+// The explorer forks live network snapshots at each branch point
+// (Network::clone); the reference engine in qa/replay_explore.hpp replays
+// each choice prefix from scratch through ReplayScheduler instead
 // (test_explore_engines.cpp proves the two identical). A leaf is a
 // quiescent execution; at every leaf the election must be correct and the
 // pulse count exactly the paper's formula.

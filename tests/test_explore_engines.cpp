@@ -1,9 +1,11 @@
-// Engine equivalence: the fork-based snapshot explorer and the legacy
-// replay-from-scratch explorer define the *same* tree (branch on every
-// pending channel in ascending channel order), so on every configuration
-// they must visit the same leaves in the same order — identical
-// ExploreStats and an identical sequence of per-leaf election outcomes.
-// This is what licenses keeping only snapshot on the hot path.
+// Engine equivalence: the fork-based snapshot explorer (sim/explore.hpp)
+// and the replay-from-scratch reference (qa/replay_explore.hpp) define the
+// *same* tree (branch on every pending channel in ascending channel order),
+// so on every configuration they must visit the same leaves in the same
+// order — identical ExploreStats and an identical sequence of per-leaf
+// outcomes. The replay engine never clones, so this is also the check on
+// every automaton's clone(): a fork that loses state shows up as a
+// different leaf sequence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,57 +13,69 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "co/alg1.hpp"
 #include "co/alg2.hpp"
 #include "co/alg3.hpp"
+#include "co/replicated.hpp"
+#include "colib/apps.hpp"
+#include "colib/composed.hpp"
 #include "qa/generators.hpp"
 #include "qa/properties.hpp"
+#include "qa/replay_explore.hpp"
 #include "sim/explore.hpp"
 #include "sim/network.hpp"
 
 namespace colex::co {
 namespace {
 
-/// Everything observable about a finished execution, flattened to a string:
+using Signature = std::function<std::string(sim::PulseNetwork&)>;
+
+/// Everything observable about a finished election, flattened to a string:
 /// total pulse count plus each node's role. Two leaves with equal
 /// signatures reached equal outcomes.
 template <typename Alg>
-std::string signature(sim::PulseNetwork& net, std::size_t n) {
-  std::ostringstream os;
-  os << net.total_sent();
-  for (sim::NodeId v = 0; v < n; ++v) {
-    os << '|' << to_string(net.automaton_as<Alg>(v).role());
-  }
-  return os.str();
+Signature roles_of(std::size_t n) {
+  return [n](sim::PulseNetwork& net) {
+    std::ostringstream os;
+    os << net.total_sent();
+    for (sim::NodeId v = 0; v < n; ++v) {
+      os << '|' << to_string(net.automaton_as<Alg>(v).role());
+    }
+    return os.str();
+  };
 }
 
 /// Explores the same configuration with both engines and requires identical
-/// stats and identical per-leaf outcome sequences.
-template <typename Alg>
+/// stats and identical per-leaf signature sequences, with at least one leaf.
 void expect_engines_agree(const std::function<sim::PulseNetwork()>& build,
-                          std::size_t n, std::uint64_t budget) {
-  sim::ExploreStats stats[2];
+                          const Signature& signature, std::uint64_t budget) {
+  sim::ExploreOptions options;
+  options.budget = budget;
   std::vector<std::string> leaves[2];
-  for (const auto engine :
-       {sim::ExploreEngine::snapshot, sim::ExploreEngine::replay}) {
-    const std::size_t e = engine == sim::ExploreEngine::snapshot ? 0 : 1;
-    sim::ExploreOptions options;
-    options.budget = budget;
-    options.engine = engine;
-    stats[e] = sim::explore_all_schedules(
-        build,
-        [&leaves, e, n](sim::PulseNetwork& net) {
-          leaves[e].push_back(signature<Alg>(net, n));
-        },
-        options);
-  }
-  EXPECT_EQ(stats[0], stats[1]);
+  const auto leaf_into = [&signature](std::vector<std::string>& sink) {
+    return [&sink, &signature](sim::PulseNetwork& net) {
+      sink.push_back(signature(net));
+    };
+  };
+  const sim::ExploreStats snapshot =
+      sim::explore_all_schedules(build, leaf_into(leaves[0]), options);
+  const sim::ExploreStats replay =
+      qa::replay_explore_all_schedules(build, leaf_into(leaves[1]), options);
+  EXPECT_EQ(snapshot, replay);
+  ASSERT_FALSE(leaves[0].empty());
   ASSERT_EQ(leaves[0].size(), leaves[1].size());
   for (std::size_t i = 0; i < leaves[0].size(); ++i) {
     ASSERT_EQ(leaves[0][i], leaves[1][i]) << "leaf " << i;
   }
+}
+
+template <typename Alg>
+void expect_engines_agree(const std::function<sim::PulseNetwork()>& build,
+                          std::size_t n, std::uint64_t budget) {
+  expect_engines_agree(build, roles_of<Alg>(n), budget);
 }
 
 template <typename Alg>
@@ -140,6 +154,90 @@ TEST(ExploreEngines, AgreeOnHundredFuzzedConfigurations) {
         << "seed " << seed << " (" << qa::to_string(c.alg) << ", n=" << c.n()
         << "): " << diag;
   }
+}
+
+// --- Forkability of the Corollary 5 stack (DESIGN §5) --------------------
+// The rings above fork only Algorithms 1-3. These are the only explorations
+// whose forks reach the bus, its apps, the simulated nodes and the
+// replication adapter. At n=2 each tree fits its budget (9 leaves per
+// composed ring, 201 for the replicated one).
+
+std::function<sim::PulseNetwork()> composed_ring(
+    const std::vector<std::uint64_t>& ids, const colib::AppFactory& app) {
+  return [ids, app] {
+    auto net = sim::PulseNetwork::ring(ids.size());
+    for (sim::NodeId v = 0; v < ids.size(); ++v) {
+      net.set_automaton(v,
+                        std::make_unique<colib::ComposedNode>(ids[v], app(v)));
+    }
+    return net;
+  };
+}
+
+/// Pulses, plus per node its election role and, once on the bus, what the
+/// survey taught it, the bus pulses it sent and whether it halted.
+std::string composed_signature(sim::PulseNetwork& net) {
+  std::ostringstream os;
+  os << net.total_sent();
+  for (sim::NodeId v = 0; v < net.size(); ++v) {
+    const auto& node = net.automaton_as<colib::ComposedNode>(v);
+    os << '|' << to_string(node.election().role());
+    if (const colib::BusNode* bus = node.bus()) {
+      os << ',' << bus->ring_size() << ',' << bus->my_offset() << ','
+         << bus->pulses_sent() << (bus->halted() ? ",halted" : "");
+    }
+  }
+  return os.str();
+}
+
+TEST(ExploreEngines, ComposedTwoNodeRingForksEveryBusApp) {
+  const std::vector<std::pair<const char*, colib::AppFactory>> apps = {
+      {"gather-all",
+       [](sim::NodeId v) { return std::make_unique<colib::GatherAllApp>(v); }},
+      {"broadcast",
+       [](sim::NodeId) { return std::make_unique<colib::BroadcastApp>(5); }},
+      {"unique-ids",
+       [](sim::NodeId) { return std::make_unique<colib::UniqueIdsApp>(); }},
+      {"ring-sum",
+       [](sim::NodeId v) {
+         return std::make_unique<colib::SimulatorApp>(
+             std::make_unique<colib::RingSumSimNode>(v + 1));
+       }},
+      {"chang-roberts",
+       [](sim::NodeId v) {
+         return std::make_unique<colib::SimulatorApp>(
+             std::make_unique<colib::ChangRobertsSimNode>(v + 3));
+       }},
+  };
+  for (const auto& [name, app] : apps) {
+    SCOPED_TRACE(name);
+    expect_engines_agree(composed_ring({1, 2}, app), composed_signature,
+                         2'000);
+  }
+}
+
+TEST(ExploreEngines, ReplicatedTwoNodeRing) {
+  const std::vector<std::uint64_t> ids{1, 2};
+  const auto build = [ids] {
+    auto net = sim::PulseNetwork::ring(ids.size());
+    for (sim::NodeId v = 0; v < ids.size(); ++v) {
+      net.set_automaton(v, std::make_unique<ReplicatedAdapter>(
+                               std::make_unique<Alg2Terminating>(ids[v]), 1));
+    }
+    return net;
+  };
+  const Signature signature = [](sim::PulseNetwork& net) {
+    std::ostringstream os;
+    os << net.total_sent();
+    for (sim::NodeId v = 0; v < net.size(); ++v) {
+      const auto& node = net.automaton_as<ReplicatedAdapter>(v);
+      os << '|' << to_string(node.inner_as<Alg2Terminating>().role()) << ','
+         << node.physical_received(sim::Port::p0) << ','
+         << node.physical_received(sim::Port::p1);
+    }
+    return os.str();
+  };
+  expect_engines_agree(build, signature, 20'000);
 }
 
 }  // namespace

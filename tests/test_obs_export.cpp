@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "co/alg2.hpp"
+#include "co/alg3.hpp"
 #include "co/election.hpp"
 #include "obs/export.hpp"
 #include "obs/instrument.hpp"
@@ -236,7 +237,7 @@ TEST(ObservedRun, Alg2TraceRespectsTheorem1Bound) {
   sim::TraceRecorder trace;
   trace.attach(net, opts);
   Registry metrics;
-  PulseNetworkInstrumentation instr(metrics, ObsOptions{.enabled = true});
+  PulseNetworkInstrumentation instr(metrics);
   instr.attach(net, opts);
   sim::RandomScheduler scheduler(17);
   const auto report = net.run(scheduler, opts);
@@ -273,6 +274,42 @@ TEST(ObservedRun, Alg2TraceRespectsTheorem1Bound) {
   EXPECT_EQ(count_occurrences(chrome, "\"ph\":\"X\""), sends);
   EXPECT_EQ(count_occurrences(chrome, "\"name\":\"thread_name\""), n);
   EXPECT_EQ(chrome.find("deliver (unmatched)"), std::string::npos);
+}
+
+// Phase attribution for Algorithm 3 on the simulator: on a scrambled ring
+// the nodes whose ports turn out mounted against the elected orientation
+// report orientation_flip, and the per-phase series still add up to every
+// pulse the nodes sent.
+TEST(ObservedRun, Alg3PhasePulsesSumToSendsOnAScrambledRing) {
+  const std::vector<std::uint64_t> ids = {4, 1, 5, 2, 3};
+  const std::vector<bool> flips = {true, false, false, true, true};
+  auto net = sim::PulseNetwork::ring(ids.size(), flips);
+  for (sim::NodeId v = 0; v < ids.size(); ++v) {
+    net.set_automaton(v, std::make_unique<co::Alg3NonOriented>(
+                             ids[v], co::Alg3NonOriented::Options{}));
+  }
+  sim::RunOptions opts;
+  Registry metrics;
+  PulseNetworkInstrumentation instr(metrics);
+  instr.attach(net, opts);
+  sim::GlobalFifoScheduler scheduler;
+  const auto report = net.run(scheduler, opts);
+  instr.finish(net);
+  ASSERT_TRUE(report.quiescent);
+
+  std::uint64_t phase_sum = 0;
+  for (std::size_t i = 0; i < sim::kPhaseCount; ++i) {
+    phase_sum +=
+        metrics.counter(labeled("pulses", "phase", sim::phase_name(i))).value();
+  }
+  EXPECT_EQ(phase_sum, metrics.counter("net.sends").value());
+  EXPECT_EQ(phase_sum, report.sent);
+  EXPECT_EQ(report.sent, co::theorem1_pulses(ids.size(), 5));
+  EXPECT_GT(
+      metrics.counter(labeled("pulses", "phase", "orientation_flip")).value(),
+      0u);
+  EXPECT_EQ(metrics.counter(labeled("pulses", "phase", "adversary")).value(),
+            0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The live telemetry plane: Prometheus text encoder, snapshot reload,
 // the /metrics HTTP server, the flight recorder, and the per-phase pulse
-// series on the coroutine executor.
+// series on the coroutine executor and the socket backend.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "coro/run.hpp"
+#include "net/run.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/serve.hpp"
@@ -288,6 +289,29 @@ TEST(PhaseSeries, CoroPulsesSumToFabricTotal) {
   // distribution gauges say so.
   EXPECT_EQ(reg.gauge(labeled("coro.phase_nodes", "phase", "done")).value(),
             static_cast<double>(ids.size()));
+}
+
+TEST(PhaseSeries, SocketPulsesSumToFabricTotal) {
+  const std::vector<std::uint64_t> ids = {3, 9, 6, 2};
+  Registry reg;
+  net::SocketRunOptions opts;
+  opts.metrics = &reg;
+  const net::SocketRunResult r =
+      net::run_on_sockets(ids, {}, rt::ThreadAlg::alg2, opts);
+  ASSERT_TRUE(r.completed);
+  EXPECT_EQ(phase_series_sum(reg, "net.pulses"), r.pulses);
+  // Algorithm 2 meets Theorem 1's bound exactly, so the margin is zero.
+  EXPECT_EQ(reg.gauge("net.pulse_bound").value(),
+            static_cast<double>(ids.size() * (2 * 9 + 1)));
+  EXPECT_EQ(reg.gauge("net.pulse_margin").value(), 0.0);
+  EXPECT_GT(reg.counter(labeled("net.pulses", "phase", "initiated_wait"))
+                .value(),
+            0u);
+  // The wire counters are the run's own, published once after the join.
+  EXPECT_EQ(reg.counter("net.bytes_tx").value(), r.wire.bytes_tx);
+  EXPECT_EQ(reg.counter("net.bytes_rx").value(), r.wire.bytes_rx);
+  EXPECT_EQ(reg.counter("net.probe_rounds").value(), r.probe_rounds);
+  EXPECT_GE(r.probe_rounds, 2u);
 }
 
 TEST(PhaseSeries, OutcomesCarryAlwaysOnPhaseTallies) {

@@ -15,6 +15,7 @@
 
 #include "co/alg2.hpp"
 #include "co/election.hpp"
+#include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
 #include "sim/explore.hpp"
 #include "sim/network.hpp"
@@ -160,6 +161,11 @@ TEST(ParallelExplore, TelemetryCountsAreWorkerCountDeterministic) {
     std::uint64_t tasks = 0;
     for (const auto& w : ref_workers) tasks += w.tasks;
     EXPECT_EQ(tasks, reference.frontier_subtrees);
+    // Published as metrics: one task counter per worker slot.
+    obs::Registry published;
+    obs::publish_worker_stats(published, "workers", ref_workers);
+    EXPECT_EQ(published.gauge("workers.count").value(), 1.0);
+    EXPECT_EQ(published.counter("workers.0.tasks").value(), tasks);
   }
   for (const std::size_t workers : {2u, 8u}) {
     sim::ExploreTelemetry telemetry;

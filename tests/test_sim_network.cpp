@@ -526,5 +526,21 @@ TEST(ChannelQueue, CloneCopiesWrappedItemsInOrder) {
   }
 }
 
+/// Keeps Automaton::clone()'s default: nothing forks it.
+class Unforkable final : public PulseAutomaton {
+ public:
+  void start(PulseContext&) override {}
+  void react(PulseContext&) override {}
+};
+
+TEST(NetworkClone, AutomatonWithoutCloneRefusesToFork) {
+  auto net = PulseNetwork::ring(2);
+  for (NodeId v = 0; v < 2; ++v) {
+    net.set_automaton(v, std::make_unique<Unforkable>());
+  }
+  net.start_all();
+  EXPECT_THROW(net.clone(), util::ContractViolation);
+}
+
 }  // namespace
 }  // namespace colex::sim

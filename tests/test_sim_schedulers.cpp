@@ -246,12 +246,22 @@ std::vector<TraceEvent> traced_alg2_run(Scheduler& s,
 }
 
 /// The standard suite plus a replay whose tape fits neither ring of the
-/// reset tests, so it diverges and counts divergences along the way.
+/// reset tests, so it diverges and counts divergences along the way, and
+/// the fuzzer's two seeded schedulers: a biased walk and a mixture whose
+/// parts (a walk and a LIFO) must rewind with it.
 std::vector<NamedScheduler> reset_suite() {
   auto suite = standard_schedulers(3);
   suite.push_back(NamedScheduler{
       "replay", std::make_unique<ReplayScheduler>(
                     std::vector<std::size_t>{0, 3, 1, 7, 2, 9, 9, 4})});
+  const WalkScheduler::Profile walk{.base = 2, .lifo = 3, .stick = 5};
+  suite.push_back(
+      NamedScheduler{"walk", std::make_unique<WalkScheduler>(5, walk)});
+  std::vector<std::unique_ptr<Scheduler>> parts;
+  parts.push_back(std::make_unique<WalkScheduler>(6, walk));
+  parts.push_back(std::make_unique<GlobalLifoScheduler>());
+  suite.push_back(NamedScheduler{
+      "mix", std::make_unique<MixScheduler>(7, std::move(parts))});
   return suite;
 }
 

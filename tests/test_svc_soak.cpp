@@ -110,6 +110,20 @@ RingSpec clean_spec(SoakAlg alg, std::vector<std::uint64_t> ids) {
   return spec;
 }
 
+TEST(SoakBackend, NamesRoundTrip) {
+  using svc::SoakBackend;
+  for (const SoakBackend b :
+       {SoakBackend::sim, SoakBackend::coro, SoakBackend::socket}) {
+    SoakBackend parsed = SoakBackend::sim;
+    ASSERT_TRUE(svc::backend_from_string(svc::to_string(b), parsed))
+        << svc::to_string(b);
+    EXPECT_EQ(parsed, b);
+  }
+  SoakBackend untouched = SoakBackend::coro;
+  EXPECT_FALSE(svc::backend_from_string("threads", untouched));
+  EXPECT_EQ(untouched, SoakBackend::coro);
+}
+
 TEST(RunAttempt, CleanAlg2UsesExactlyTheTheorem1Budget) {
   const auto spec = clean_spec(SoakAlg::alg2, {3, 7, 2, 5});
   const svc::AttemptResult a = svc::run_attempt(spec);
