@@ -113,7 +113,7 @@ class Automaton {
   virtual void react(Context<P>& ctx) = 0;
 
   /// True once the node has entered a terminating state. Terminated nodes
-  /// ignore all further deliveries (the runner records such deliveries as
+  /// ignore all further deliveries (the network counts such deliveries as
   /// model violations — they never happen for quiescently terminating
   /// algorithms).
   virtual bool terminated() const { return false; }
@@ -139,13 +139,14 @@ class Automaton {
   }
 };
 
-/// What happened during a run (see `run_to_quiescence`).
+/// How a run ended (see `Network::run`). The tallies are the network's
+/// cumulative counters, so a run that continues a cut one reports both.
 struct RunReport {
   bool quiescent = false;       ///< no pulses in flight nor queued unconsumed
   bool stalled = false;         ///< no pulses in flight, but queued leftovers
   bool all_terminated = false;  ///< every automaton reports terminated()
   bool hit_event_limit = false;
-  std::uint64_t sent = 0;        ///< total payloads sent during the run
+  std::uint64_t sent = 0;        ///< payloads sent, net of drops
   std::uint64_t deliveries = 0;  ///< channel->inbox handoffs performed
   std::uint64_t deliveries_to_terminated = 0;  ///< model violations
   // Fault tallies (all zero on fault-free runs; see sim/faults.hpp). The
@@ -167,6 +168,9 @@ struct BasicRunOptions {
   /// before its scheduled spontaneous start is started lazily at that
   /// moment, exactly like an event-driven node waking up on its first event.
   bool interleave_starts = false;
+  /// Seeds the interleaving draws. Each run() draws afresh from it, so a
+  /// run that continues a cut one before its last start may order the
+  /// remaining starts differently from the uncut run.
   std::uint64_t interleave_seed = 1;
   /// Invoked after every start/delivery event with the network; property
   /// tests use this to assert invariants at every step, and fault-injection
@@ -273,11 +277,11 @@ class Network {
 
   // --- accounting (ground truth, independent of algorithm counters) ------
 
-  std::uint64_t total_sent() const { return total_sent_; }
+  std::uint64_t total_sent() const { return counts_.sent; }
 
-  std::uint64_t total_delivered() const { return total_delivered_; }
+  std::uint64_t total_delivered() const { return counts_.delivered; }
 
-  std::uint64_t total_consumed() const { return total_consumed_; }
+  std::uint64_t total_consumed() const { return counts_.consumed; }
 
   /// One coherent snapshot of every cumulative counter the network keeps —
   /// the per-step observable the observability layer (src/obs) samples.
@@ -291,22 +295,20 @@ class Network {
     std::uint64_t crashes = 0;
     std::uint64_t recoveries = 0;
     std::uint64_t crash_lost = 0;
+    std::uint64_t delivered_to_terminated = 0;  ///< swallowed (a violation)
+    std::uint64_t delivered_to_crashed = 0;  ///< swallowed, within crash_lost
 
     friend bool operator==(const Counters&, const Counters&) = default;
   };
 
-  Counters counters() const {
-    return Counters{total_sent_, total_delivered_, total_consumed_,
-                    injected_,   dropped_,         duplicated_,
-                    crashes_,    recoveries_,      crash_lost_};
-  }
+  Counters counters() const { return counts_; }
 
   /// Payloads sent but not yet consumed by the destination algorithm;
   /// includes delivered-but-queued payloads (paper footnote 2).
-  std::uint64_t in_transit() const { return total_sent_ - total_consumed_; }
+  std::uint64_t in_transit() const { return counts_.sent - counts_.consumed; }
 
   /// In-flight on channels only (sent, not yet handed to an inbox).
-  std::uint64_t in_flight() const { return total_sent_ - total_delivered_; }
+  std::uint64_t in_flight() const { return counts_.sent - counts_.delivered; }
 
   std::size_t inbox_size(NodeId v, Port p) const {
     return nodes_[v].inbox[index(p)].size();
@@ -363,15 +365,7 @@ class Network {
     copy.index_ = nullptr;  // a fork is not driven by this run's scheduler
     copy.next_seq_ = next_seq_;
     copy.stamp_ = stamp_;
-    copy.total_sent_ = total_sent_;
-    copy.total_delivered_ = total_delivered_;
-    copy.total_consumed_ = total_consumed_;
-    copy.injected_ = injected_;
-    copy.dropped_ = dropped_;
-    copy.duplicated_ = duplicated_;
-    copy.crashes_ = crashes_;
-    copy.recoveries_ = recoveries_;
-    copy.crash_lost_ = crash_lost_;
+    copy.counts_ = counts_;
     copy.nodes_.resize(nodes_.size());
     for (std::size_t v = 0; v < nodes_.size(); ++v) {
       const auto& src = nodes_[v];
@@ -394,45 +388,44 @@ class Network {
   /// exploration tree's root state without needing a Scheduler.
   void start_all() {
     for (NodeId v = 0; v < nodes_.size(); ++v) {
-      auto& node = nodes_[v];
-      if (node.started) continue;
-      NetworkContext<P> ctx(*this, v);
-      ++stamp_;
-      node.started = true;
-      node.automaton->start(ctx);
-      node.automaton->react(ctx);
+      if (!nodes_[v].started) start_node(v);
     }
   }
 
   /// Delivers the head payload of channel `c` and runs the destination's
-  /// react — one adversary step, without a Scheduler or RunOptions. This is
-  /// how the fork-based explorer advances a snapshot; the state transition
-  /// is identical to the runner's `deliver` (crashed and terminated
-  /// destinations swallow the payload, an unstarted destination performs
-  /// its event-driven wake-up first).
+  /// react: one adversary step, the model's only transition besides a
+  /// start. The runner and both explorers advance a network through it. A
+  /// crashed or terminated destination swallows the payload; an unstarted
+  /// one performs its event-driven wake-up first.
   void deliver_step(std::size_t c) {
     COLEX_EXPECTS(c < channels_.size() && !channels_[c].items.empty());
-    auto& ch = channels_[c];
+    const auto& ch = channels_[c];
     Item item = pop_item(c);
-    ++total_delivered_;
+    ++counts_.delivered;
     const NodeId v = ch.to_node;
     auto& node = nodes_[v];
     if (node.crashed) {
-      ++crash_lost_;
-      ++total_consumed_;
+      // A dead node swallows the payload: lost exactly like an in-queue
+      // payload at crash time.
+      ++counts_.delivered_to_crashed;
+      ++counts_.crash_lost;
+      ++counts_.consumed;
       return;
     }
     if (node.automaton->terminated()) {
-      ++total_consumed_;
+      // Terminated nodes ignore pulses (paper §2). Quiescently terminating
+      // algorithms never let this happen.
+      ++counts_.delivered_to_terminated;
+      ++counts_.consumed;
       return;
     }
     node.inbox[index(ch.to_port)].push(std::move(item.payload));
+    if (!node.started) {
+      start_node(v);  // its first event is this delivery
+      return;
+    }
     NetworkContext<P> ctx(*this, v);
     ++stamp_;
-    if (!node.started) {
-      node.started = true;
-      node.automaton->start(ctx);
-    }
     node.automaton->react(ctx);
   }
 
@@ -452,18 +445,18 @@ class Network {
   void inject_fault(std::size_t c, P payload = P{}) {
     COLEX_EXPECTS(c < channels_.size());
     push_item(c, Item{std::move(payload), next_seq_++, stamp_});
-    ++total_sent_;  // keep conservation accounting consistent for delivery
-    ++injected_;
+    ++counts_.sent;  // keep conservation accounting consistent for delivery
+    ++counts_.injected;
   }
 
   /// Drops the head payload of channel `c` (model forbids message loss).
   void drop_fault(std::size_t c) {
     COLEX_EXPECTS(c < channels_.size() && !channels_[c].items.empty());
     pop_item(c);
-    ++dropped_;
+    ++counts_.dropped;
     // The dropped payload will never be delivered or consumed; account for
     // it so in_transit() reflects what can still move.
-    --total_sent_;
+    --counts_.sent;
   }
 
   /// Duplicates the head payload of channel `c` (the copy is queued right
@@ -474,8 +467,8 @@ class Network {
     auto& items = channels_[c].items;
     items.insert_second(
         Item{P(items.front().payload), next_seq_++, items.front().stamp});
-    ++total_sent_;
-    ++duplicated_;
+    ++counts_.sent;
+    ++counts_.duplicated;
   }
 
   // --- node lifecycle faults (crash-stop / crash-recover) -----------------
@@ -492,11 +485,11 @@ class Network {
     // Queued payloads die with the node; count them consumed so conservation
     // accounting (in_transit) keeps reflecting what can still move.
     for (auto& q : node.inbox) {
-      total_consumed_ += q.size();
-      crash_lost_ += q.size();
+      counts_.consumed += q.size();
+      counts_.crash_lost += q.size();
       q.clear();
     }
-    ++crashes_;
+    ++counts_.crashes;
   }
 
   bool node_crashed(NodeId v) const {
@@ -514,16 +507,13 @@ class Network {
     node.crashed = false;
     node.automaton = std::move(fresh);
     node.consumed[0] = node.consumed[1] = 0;
-    ++recoveries_;
-    NetworkContext<P> ctx(*this, v);
-    ++stamp_;
-    node.automaton->start(ctx);
-    node.automaton->react(ctx);
+    ++counts_.recoveries;
+    start_node(v);
   }
 
-  std::uint64_t injected() const { return injected_; }
-  std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t duplicated() const { return duplicated_; }
+  std::uint64_t injected() const { return counts_.injected; }
+  std::uint64_t dropped() const { return counts_.dropped; }
+  std::uint64_t duplicated() const { return counts_.duplicated; }
 
   /// Observer invoked at every send with (sender, out-port, direction).
   /// Used by sim::TraceRecorder; injected faults are deliberately NOT
@@ -556,7 +546,7 @@ class Network {
     auto& node = nodes_[v];
     const std::size_t c = node.out_channel[index(p)];
     push_item(c, Item{std::move(payload), next_seq_++, stamp_});
-    ++total_sent_;
+    ++counts_.sent;
     if (send_observer_) send_observer_(v, p, channels_[c].dir);
   }
 
@@ -564,14 +554,19 @@ class Network {
     auto& q = nodes_[v].inbox[index(p)];
     if (q.size() == 0) return std::nullopt;
     ++nodes_[v].consumed[index(p)];
-    ++total_consumed_;
+    ++counts_.consumed;
     return q.pop();
   }
 
   // --- the runner ----------------------------------------------------------
 
+  /// Drives the network under `scheduler` until nothing is in flight or
+  /// `opts.max_events` events (starts and deliveries; up-front starts are
+  /// free) have run. It only picks: every start goes through start_node
+  /// and every delivery through deliver_step, with `on_deliver` fired
+  /// before the step and `on_event` after it. Nodes that have started stay
+  /// started, so calling run() again continues a run its event limit cut.
   RunReport run(Scheduler& scheduler, const BasicRunOptions<P>& opts = {}) {
-    RunReport report;
     util::Xoshiro256StarStar interleave_rng(opts.interleave_seed);
 
     // A scheduler on the incremental protocol hears of every head change
@@ -583,63 +578,41 @@ class Network {
       for (const std::size_t c : nonempty_) scheduler.head_changed(view_of(c));
     }
 
-    // Unstarted-node bookkeeping: a vector of pending nodes plus a per-node
-    // position index, so removal is O(1) swap-and-pop instead of an O(n)
-    // scan-and-erase per start event.
+    // Nodes yet to start, highest id first, plus each one's position in
+    // the list, so a start removes it by O(1) swap-and-pop.
     std::vector<NodeId> unstarted;
     std::vector<std::size_t> unstarted_pos(nodes_.size(), kNoPos);
-    unstarted.reserve(nodes_.size());
     for (NodeId v = nodes_.size(); v-- > 0;) {
+      if (nodes_[v].started) continue;
       unstarted_pos[v] = unstarted.size();
       unstarted.push_back(v);
     }
-    auto remove_unstarted = [&](std::size_t k) {
-      const NodeId victim = unstarted[k];
+    auto forget = [&](NodeId v) {
+      const std::size_t k = unstarted_pos[v];
+      if (k == kNoPos) return;
       const NodeId moved = unstarted.back();
       unstarted[k] = moved;
       unstarted_pos[moved] = k;
       unstarted.pop_back();
-      unstarted_pos[victim] = kNoPos;
+      unstarted_pos[v] = kNoPos;
     };
-
-    auto do_start = [&](NodeId v) {
-      NetworkContext<P> ctx(*this, v);
-      ++stamp_;
-      nodes_[v].started = true;
-      nodes_[v].automaton->start(ctx);
-      nodes_[v].automaton->react(ctx);
+    auto start = [&](NodeId v) {
+      forget(v);
+      start_node(v);
       if (opts.on_event) opts.on_event(*this);
-    };
-    auto start_specific = [&](NodeId v) {
-      const std::size_t k = unstarted_pos[v];
-      COLEX_ASSERT(k != kNoPos);  // else: called for a started node
-      remove_unstarted(k);
-      do_start(v);
     };
 
     if (!opts.interleave_starts) {
-      while (!unstarted.empty()) {
-        const NodeId v = unstarted.back();
-        remove_unstarted(unstarted.size() - 1);
-        do_start(v);
-      }
+      while (!unstarted.empty()) start(unstarted.back());
     }
 
     std::uint64_t events = 0;
     std::vector<ChannelView> pending;
-    for (;;) {
-      if (events >= opts.max_events) {
-        report.hit_event_limit = true;
-        break;
-      }
+    for (; events < opts.max_events; ++events) {
       // Optionally interleave a spontaneous node start with deliveries.
       if (!unstarted.empty() &&
           (in_flight() == 0 || interleave_rng.bernoulli(0.5))) {
-        const std::size_t k = interleave_rng.below(unstarted.size());
-        const NodeId v = unstarted[k];
-        remove_unstarted(k);
-        do_start(v);
-        ++events;
+        start(unstarted[interleave_rng.below(unstarted.size())]);
         continue;
       }
 
@@ -653,26 +626,34 @@ class Network {
         c = scheduler.pick(pending);
       }
       COLEX_ASSERT(c < channels_.size() && !channels_[c].items.empty());
-      deliver(c, report, start_specific, unstarted, opts);
-      ++events;
+      const auto& ch = channels_[c];
+      const NodeId v = ch.to_node;
+      if (opts.on_deliver) opts.on_deliver(v, ch.to_port, ch.dir);
+      deliver_step(c);
+      forget(v);  // the delivery may have woken it
+      if (opts.on_event) opts.on_event(*this);
     }
 
-    report.sent = total_sent_;
-    report.faults_injected = injected_;
-    report.faults_dropped = dropped_;
-    report.faults_duplicated = duplicated_;
-    report.node_crashes = crashes_;
-    report.node_recoveries = recoveries_;
+    RunReport report;
+    report.hit_event_limit = events == opts.max_events;
+    report.sent = counts_.sent;
+    report.deliveries = counts_.delivered;
+    report.deliveries_to_terminated = counts_.delivered_to_terminated;
+    report.faults_injected = counts_.injected;
+    report.faults_dropped = counts_.dropped;
+    report.faults_duplicated = counts_.duplicated;
+    report.node_crashes = counts_.crashes;
+    report.node_recoveries = counts_.recoveries;
+    report.deliveries_to_crashed = counts_.delivered_to_crashed;
+    // The loop ends early only with nothing in flight and so, by the start
+    // rule above, every node started.
     report.quiescent = in_transit() == 0 && !report.hit_event_limit;
-    report.stalled = !report.quiescent && in_flight() == 0 &&
-                     !report.hit_event_limit && unstarted.empty();
-    report.all_terminated = true;
-    for (const auto& node : nodes_) {
-      if (node.automaton == nullptr || !node.automaton->terminated()) {
-        report.all_terminated = false;
-        break;
-      }
-    }
+    report.stalled =
+        !report.quiescent && in_flight() == 0 && !report.hit_event_limit;
+    report.all_terminated =
+        std::all_of(nodes_.begin(), nodes_.end(), [](const NodeState& node) {
+          return node.automaton != nullptr && node.automaton->terminated();
+        });
     return report;
   }
 
@@ -711,48 +692,16 @@ class Network {
     channels_.push_back(std::move(ch));
   }
 
-  template <typename StartSpecificFn>
-  void deliver(std::size_t c, RunReport& report,
-               StartSpecificFn& start_specific, std::vector<NodeId>& unstarted,
-               const BasicRunOptions<P>& opts) {
-    auto& ch = channels_[c];
-    Item item = pop_item(c);
-    ++total_delivered_;
-    ++report.deliveries;
-    if (opts.on_deliver) opts.on_deliver(ch.to_node, ch.to_port, ch.dir);
-
-    const NodeId v = ch.to_node;
+  /// Runs node v's start action and its first react as one event; the
+  /// sends of both share one stamp. Every start goes through here: the
+  /// runner's, start_all's, a delivery's wake-up and a recovery's reboot.
+  void start_node(NodeId v) {
     auto& node = nodes_[v];
-    if (node.crashed) {
-      // A dead node swallows the payload: lost exactly like an in-queue
-      // payload at crash time.
-      ++report.deliveries_to_crashed;
-      ++crash_lost_;
-      ++total_consumed_;
-      if (opts.on_event) opts.on_event(*this);
-      return;
-    }
-    if (node.automaton->terminated()) {
-      // Terminated nodes ignore pulses (paper §2). Consume into the void and
-      // record the violation: quiescently terminating algorithms never let
-      // this happen.
-      ++report.deliveries_to_terminated;
-      ++total_consumed_;
-      if (opts.on_event) opts.on_event(*this);
-      return;
-    }
-    node.inbox[index(ch.to_port)].push(std::move(item.payload));
-    if (!node.started) {
-      // Event-driven wake-up: the node's first event is this delivery, so it
-      // performs its start action now, then reacts to the queue.
-      COLEX_ASSERT(!unstarted.empty());
-      start_specific(v);
-      return;  // start_specific already reacted and fired on_event
-    }
     NetworkContext<P> ctx(*this, v);
     ++stamp_;
+    node.started = true;
+    node.automaton->start(ctx);
     node.automaton->react(ctx);
-    if (opts.on_event) opts.on_event(*this);
   }
 
   // Incremental index of channels with pulses in flight, so each runner
@@ -813,15 +762,7 @@ class Network {
   std::function<void(NodeId, Port, Direction)> send_observer_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t stamp_ = 0;  // event step counter; sends in one react share it
-  std::uint64_t total_sent_ = 0;
-  std::uint64_t total_delivered_ = 0;
-  std::uint64_t total_consumed_ = 0;
-  std::uint64_t injected_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t duplicated_ = 0;
-  std::uint64_t crashes_ = 0;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t crash_lost_ = 0;
+  Counters counts_;
 };
 
 /// The fully defective network of the paper: channels carry only pulses.

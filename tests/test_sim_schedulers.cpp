@@ -483,6 +483,94 @@ TEST(IncrementalProtocol, ExceptionMidRunLeavesIndexingMode) {
 }
 
 // ---------------------------------------------------------------------------
+// A second run() continues the first: a run cut by its event limit and run
+// again is the uncut run.
+// ---------------------------------------------------------------------------
+
+/// Runs `alg` on `ids` under `s`, cut after `cut` events and continued by a
+/// second run() with the same scheduler, recorder and options.
+Observed cut_and_continue(Alg alg, const std::vector<std::uint64_t>& ids,
+                          Scheduler& s, RunOptions opts, std::uint64_t cut) {
+  auto net = make_ring(alg, ids);
+  TraceRecorder trace;
+  trace.attach(net, opts);
+  RecordingScheduler recording(s);
+  const std::uint64_t limit = opts.max_events;
+  opts.max_events = cut;
+  net.run(recording, opts);
+  opts.max_events = limit;
+  const RunReport report = net.run(recording, opts);
+  net.set_send_observer({});  // the recorder dies with this frame
+  const PulseNetwork::Counters counters = net.counters();
+  // The report's tallies cover both runs.
+  EXPECT_EQ(report.sent, counters.sent);
+  EXPECT_EQ(report.deliveries, counters.delivered);
+  return {recording.tape(), trace.events(), counters, report.quiescent};
+}
+
+TEST(CutAndContinue, SecondRunContinuesTheFirstAtEveryCut) {
+  struct Ring {
+    Alg alg;
+    std::vector<std::uint64_t> ids;
+  };
+  const Ring rings[] = {{Alg::alg1, {2, 3, 1}},
+                        {Alg::alg2, {2, 3, 1}},
+                        {Alg::alg2, {4, 1, 3, 2}},
+                        {Alg::alg3, {2, 3, 1}}};
+  for (const Ring& ring : rings) {
+    for (const bool interleave : {false, true}) {
+      for (const bool random : {false, true}) {
+        auto scheduler = [random]() -> std::unique_ptr<Scheduler> {
+          if (random) return std::make_unique<RandomScheduler>(7);
+          return std::make_unique<GlobalFifoScheduler>();
+        };
+        RunOptions opts;
+        opts.max_events = 100'000;
+        opts.interleave_starts = interleave;
+        opts.interleave_seed = 5;
+        // The uncut run, and the event after which every node has started
+        // (the interleaving's last draw). Up-front starts are not events.
+        std::uint64_t seen = 0, all_started_at = 0;
+        RunOptions counted = opts;
+        counted.on_event = [&](PulseNetwork& net) {
+          if (interleave) ++seen;
+          for (NodeId v = 0; v < net.size(); ++v) {
+            if (!net.started(v)) return;
+          }
+          if (all_started_at == 0) all_started_at = seen;
+        };
+        const Observed uncut =
+            observe(ring.alg, ring.ids, *scheduler(), counted);
+        ASSERT_TRUE(uncut.quiescent);
+        const std::uint64_t events =
+            uncut.counters.delivered + (interleave ? ring.ids.size() : 0);
+        const std::string label =
+            "alg" + std::to_string(static_cast<int>(ring.alg) + 1) + " n=" +
+            std::to_string(ring.ids.size()) +
+            (interleave ? " interleaved " : " ") + (random ? "random" : "fifo");
+        std::uint64_t counters_differ = 0, runs_differ = 0;
+        for (std::uint64_t cut = 0; cut <= events + 8; ++cut) {
+          const Observed resumed =
+              cut_and_continue(ring.alg, ring.ids, *scheduler(), opts, cut);
+          if (!(resumed.counters == uncut.counters) ||
+              resumed.quiescent != uncut.quiescent) {
+            ++counters_differ;
+          }
+          // A cut before the last start redraws the remaining starts from
+          // the seed, so only a later cut must replay the uncut run.
+          if (cut >= all_started_at &&
+              (resumed.tape != uncut.tape || resumed.trace != uncut.trace)) {
+            ++runs_differ;
+          }
+        }
+        EXPECT_EQ(counters_differ, 0u) << label << " of " << events + 9;
+        EXPECT_EQ(runs_differ, 0u) << label << " of " << events + 9;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // GlobalFifo's head window against its own view path, driven straight
 // through the protocol by streams of heads that no election produces.
 // ---------------------------------------------------------------------------
