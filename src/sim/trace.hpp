@@ -103,7 +103,7 @@ class BasicTraceRecorder {
                                        events_.size())});
       if (previous_deliver) previous_deliver(v, p, d);
     };
-    net.set_send_observer([this](NodeId v, Port p, Direction d) {
+    net.chain_send_observer([this](NodeId v, Port p, Direction d) {
       events_.push_back(TraceEvent{TraceEvent::Kind::send, v, p, d,
                                    static_cast<std::uint64_t>(
                                        events_.size())});

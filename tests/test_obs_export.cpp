@@ -10,6 +10,7 @@
 #include "co/election.hpp"
 #include "obs/export.hpp"
 #include "obs/instrument.hpp"
+#include "sim/depth.hpp"
 #include "sim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/trace.hpp"
@@ -274,6 +275,43 @@ TEST(ObservedRun, Alg2TraceRespectsTheorem1Bound) {
   EXPECT_EQ(count_occurrences(chrome, "\"ph\":\"X\""), sends);
   EXPECT_EQ(count_occurrences(chrome, "\"name\":\"thread_name\""), n);
   EXPECT_EQ(chrome.find("deliver (unmatched)"), std::string::npos);
+}
+
+// The depth probe, the instrumentation and the recorder each chain onto the
+// network's send observer, so all three attached to one run see every send.
+TEST(ObservedRun, RecorderKeepsEarlierSendObservers) {
+  const std::vector<std::uint64_t> ids = {4, 1, 3, 2};
+  auto ring = [&ids] {
+    auto net = sim::PulseNetwork::ring(ids.size());
+    for (sim::NodeId v = 0; v < ids.size(); ++v) {
+      net.set_automaton(v, std::make_unique<co::Alg2Terminating>(ids[v]));
+    }
+    return net;
+  };
+  auto alone = ring();
+  sim::CausalDepthProbe alone_probe;
+  sim::RunOptions alone_opts;
+  alone_probe.attach(alone, alone_opts);
+  sim::GlobalFifoScheduler alone_fifo;
+  ASSERT_TRUE(alone.run(alone_fifo, alone_opts).quiescent);
+
+  auto net = ring();
+  sim::RunOptions opts;
+  sim::CausalDepthProbe probe;
+  probe.attach(net, opts);
+  Registry metrics;
+  PulseNetworkInstrumentation instr(metrics);
+  instr.attach(net, opts);
+  sim::TraceRecorder trace;
+  trace.attach(net, opts);
+  sim::GlobalFifoScheduler fifo;
+  const auto report = net.run(fifo, opts);
+  ASSERT_TRUE(report.quiescent);
+  EXPECT_EQ(alone_probe.depth(), 21u);
+  EXPECT_EQ(probe.depth(), alone_probe.depth());
+  EXPECT_EQ(report.sent, co::theorem1_pulses(ids.size(), 4));
+  EXPECT_EQ(trace.sends(), report.sent);
+  EXPECT_EQ(metrics.counter("net.sends").value(), report.sent);
 }
 
 // Phase attribution for Algorithm 3 on the simulator: on a scrambled ring
