@@ -595,6 +595,34 @@ TEST(CoroExecutor, PublishesMergedMetrics) {
   EXPECT_EQ(result.stats.sent, result.pulses);
 }
 
+TEST(CoroExecutor, RegistryLeavesTheElectionExact) {
+  // Zero overhead when off, checked exactly: the same Alg 2 election at two
+  // workers, dark and then with a registry, must land the same outcome.
+  constexpr std::size_t kN = 1'000;
+  const auto ids = test::dense_ids(kN);
+  CoroRunOptions opts{2, 120'000, nullptr};
+  const CoroRunResult off = run_on_coro(ids, {}, rt::ThreadAlg::alg2, opts);
+  obs::Registry reg;
+  opts.metrics = &reg;
+  const CoroRunResult on = run_on_coro(ids, {}, rt::ThreadAlg::alg2, opts);
+  ASSERT_TRUE(off.completed && on.completed);
+  EXPECT_EQ(off.pulses, co::theorem1_pulses(kN, kN));
+  EXPECT_EQ(on.pulses, off.pulses);
+  EXPECT_EQ(on.leader, off.leader);
+  ASSERT_EQ(on.outcomes.size(), off.outcomes.size());
+  std::size_t differ = 0;
+  for (std::size_t v = 0; v < kN; ++v) {
+    const rt::BlockingOutcome& a = off.outcomes[v];
+    const rt::BlockingOutcome& b = on.outcomes[v];
+    if (a.id != b.id || a.role != b.role || a.terminated != b.terminated ||
+        a.phase_sends != b.phase_sends) {
+      ++differ;
+    }
+  }
+  EXPECT_EQ(differ, 0u);
+  EXPECT_FALSE(reg.empty());
+}
+
 TEST(CoroExecutor, HundredThousandNodeSmoke) {
   // The capacity point of the runtime: 10^5 nodes in one process, Alg 1
   // with IDmax=2 (ids all 1, one 2), which quiesces after exactly 2n
