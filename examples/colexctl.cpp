@@ -127,9 +127,14 @@ int cmd_elect(const Args& args) {
   }
   if (alg == "alg3") {
     co::Alg3NonOriented::Options options;
-    options.scheme = get(args, "scheme", "improved") == "doubled"
-                         ? co::IdScheme::doubled
-                         : co::IdScheme::improved;
+    const auto scheme = get(args, "scheme", "improved");
+    if (scheme == "doubled") {
+      options.scheme = co::IdScheme::doubled;
+    } else if (scheme != "improved") {
+      std::cerr << "unknown --scheme '" << scheme
+                << "' (doubled or improved)\n";
+      return 1;
+    }
     const auto flips = util::random_flips(
         ids.size(), get_u64(args, "scramble", 0));
     const auto result =
