@@ -297,15 +297,7 @@ CaseResult check_case(const FuzzCase& c, const PropertyOptions& opts) {
     FuzzCase pinned = c;
     pinned.tape = r.outcome.tape;
     const RunOutcome again = execute_case(pinned);
-    auto counters_eq = [](const sim::PulseNetwork::Counters& a,
-                          const sim::PulseNetwork::Counters& b) {
-      return a.sent == b.sent && a.delivered == b.delivered &&
-             a.consumed == b.consumed && a.injected == b.injected &&
-             a.dropped == b.dropped && a.duplicated == b.duplicated &&
-             a.crashes == b.crashes && a.recoveries == b.recoveries &&
-             a.crash_lost == b.crash_lost;
-    };
-    if (!counters_eq(again.counters, r.outcome.counters) ||
+    if (!(again.counters == r.outcome.counters) ||
         again.roles != r.outcome.roles ||
         again.report.quiescent != r.outcome.report.quiescent) {
       fail("replay-agreement",
